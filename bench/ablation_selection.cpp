@@ -11,6 +11,7 @@
 // A second ablation quantifies the inlining-compensation design choice.
 #include <cstdio>
 
+#include "adapt/controller.hpp"
 #include "apps/lulesh.hpp"
 #include "apps/specs.hpp"
 #include "bench_util.hpp"
@@ -64,12 +65,7 @@ int main() {
     bench::PreparedApp app = bench::prepare("lulesh", apps::makeLulesh());
 
     // --- Baseline: full run + scorep-score filter --------------------------
-    select::InstrumentationConfig fullIc;
-    for (cg::FunctionId id = 0; id < app.graph.size(); ++id) {
-        if (app.graph.desc(id).flags.hasBody) {
-            fullIc.addFunction(app.graph.name(id));
-        }
-    }
+    select::InstrumentationConfig fullIc = adapt::surveyOfDefinedFunctions(app.graph);
     support::Timer baselineTimer;
     binsim::Process profileProcess(app.compiled);
     dyncapi::DynCapi profileDyn(profileProcess);

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "adapt/budget_planner.hpp"
 #include "adapt/overhead_model.hpp"
@@ -42,12 +43,16 @@ binsim::AppModel flatModel(std::uint32_t functions) {
 /// `width` even entries for odd ones, so A->B->A... flips 2*width functions.
 std::pair<select::InstrumentationConfig, select::InstrumentationConfig> swapIcs(
     std::uint32_t functions, std::uint32_t width) {
+    std::vector<std::string> namesA;
+    std::vector<std::string> namesB;
+    for (std::uint32_t i = 0; i < functions; i += 2) {
+        namesA.push_back("fn" + std::to_string(i));
+        namesB.push_back("fn" + std::to_string(i < 2 * width ? i + 1 : i));
+    }
     select::InstrumentationConfig a;
     select::InstrumentationConfig b;
-    for (std::uint32_t i = 0; i < functions; i += 2) {
-        a.addFunction("fn" + std::to_string(i));
-        b.addFunction("fn" + std::to_string(i < 2 * width ? i + 1 : i));
-    }
+    a.assignFunctions(std::move(namesA));
+    b.assignFunctions(std::move(namesB));
     return {std::move(a), std::move(b)};
 }
 
@@ -103,14 +108,16 @@ struct PlannerFixture {
               return options;
           }()) {
         scorep::ProfileTree tree;
+        std::vector<std::string> names;
         for (cg::FunctionId id = 0; id < graph.size(); ++id) {
             const std::string& name = graph.name(id);
-            candidate.addFunction(name);
+            names.push_back(name);
             scorep::RegionHandle handle = measurement->defineRegion(name);
             std::size_t node = tree.childOf(tree.root(), handle);
             tree.node(node).visits = (id * 7919u) % 3000u;
             tree.node(node).inclusiveNs = (id * 104729u) % 1000000u;
         }
+        candidate.assignFunctions(std::move(names));
         model.observeEpoch(tree, *measurement, 1e10);
     }
 };

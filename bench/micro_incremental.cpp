@@ -15,15 +15,25 @@
 //
 // A third case churns edges inside the hot region itself — the honest worst
 // case where footprints intersect the delta and stages must re-run.
+//
+// BM_SessionSpecCycle has no churn: one warm RefinementSession cycles the
+// four evaluation specs, as a user alternating selections does, so each
+// iteration measures what a warm round costs beyond the cached stages —
+// IC assembly and each spec's inlining-compensation memo.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "apps/openfoam.hpp"
+#include "apps/specs.hpp"
 #include "bench_util.hpp"
 #include "cg/call_graph.hpp"
 #include "cg/csr_view.hpp"
+#include "dyncapi/process_symbol_oracle.hpp"
+#include "dyncapi/refinement.hpp"
 #include "select/pipeline.hpp"
 #include "select/selector_cache.hpp"
 #include "spec/parser.hpp"
@@ -181,6 +191,43 @@ BENCHMARK(BM_CsrSnapshot)
     ->ArgsProduct({{20000, 200000}, {0, 1}})
     ->ArgNames({"nodes", "patch"})
     ->Unit(benchmark::kMicrosecond);
+
+void BM_SessionSpecCycle(benchmark::State& state) {
+    apps::OpenFoamParams params;
+    params.targetNodes = static_cast<std::uint32_t>(state.range(0));
+    const bench::PreparedApp app =
+        bench::prepare("openfoam", apps::makeOpenFoam(params));
+    const spec::ModuleResolver resolver = apps::bundledResolver();
+    const dyncapi::ProcessSymbolOracle oracle(app.compiled);
+    const std::vector<apps::NamedSpec> specs = apps::evaluationSpecs();
+    select::SelectionOptions base;
+    base.resolver = &resolver;
+    base.symbolOracle = &oracle;
+    dyncapi::RefinementSession session(app.graph);
+    for (const apps::NamedSpec& spec : specs) {
+        session.select(spec.text, spec.name, base);  // Warm every spec once.
+    }
+
+    std::size_t rounds = 0;
+    std::size_t reused = 0;
+    std::size_t icSize = 0;
+    for (auto _ : state) {
+        for (const apps::NamedSpec& spec : specs) {
+            select::SelectionReport report =
+                session.select(spec.text, spec.name, base);
+            benchmark::DoNotOptimize(report.ic.functions.data());
+            reused += report.inlineCompensationReused ? 1 : 0;
+            icSize += report.ic.size();
+            ++rounds;
+        }
+    }
+    state.counters["ic_size"] = benchmark::Counter(
+        static_cast<double>(icSize) / static_cast<double>(std::max<std::size_t>(1, rounds)));
+    state.counters["memo_reuse_ratio"] = benchmark::Counter(
+        static_cast<double>(reused) / static_cast<double>(std::max<std::size_t>(1, rounds)));
+}
+
+BENCHMARK(BM_SessionSpecCycle)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

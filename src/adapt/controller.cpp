@@ -301,9 +301,7 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
 select::InstrumentationPolicy Controller::safeModePolicy() const {
     select::InstrumentationConfig keepIc;
     keepIc.specName = "safe-mode";
-    for (const std::string& name : config_.keep) {
-        keepIc.addFunction(name);
-    }
+    keepIc.assignFunctions(config_.keep);
     return select::InstrumentationPolicy::fullOf(keepIc);
 }
 
@@ -486,13 +484,15 @@ EpochReport Controller::adoptPolicy(
 
 select::InstrumentationConfig surveyOfDefinedFunctions(
     const cg::CallGraph& graph) {
-    select::InstrumentationConfig ic;
-    ic.specName = "survey";
+    std::vector<std::string> names;
     for (cg::FunctionId id = 0; id < graph.size(); ++id) {
         if (graph.desc(id).flags.hasBody) {
-            ic.addFunction(graph.name(id));
+            names.push_back(graph.name(id));
         }
     }
+    select::InstrumentationConfig ic;
+    ic.specName = "survey";
+    ic.assignFunctions(std::move(names));
     return ic;
 }
 

@@ -242,20 +242,11 @@ InitStats DynCapi::applyIc(const select::InstrumentationConfig& ic) {
     return applyPolicy(select::InstrumentationPolicy::fullOf(ic));
 }
 
-std::optional<xray::PackedId> DynCapi::resolveIcEntry(
-    const select::InstrumentationConfig& ic, const std::string& name) const {
-    auto staticIt = ic.staticIds.find(name);
-    if (staticIt != ic.staticIds.end()) {
-        return staticIt->second;  // Static-ID extension: no name resolution.
-    }
-    return resolveName(name);
-}
-
 std::optional<xray::PackedId> DynCapi::resolvePolicyEntry(
     const select::InstrumentationPolicy& policy, const std::string& name) const {
     auto staticIt = policy.staticIds.find(name);
     if (staticIt != policy.staticIds.end()) {
-        return staticIt->second;
+        return staticIt->second;  // Static-ID extension: no name resolution.
     }
     return resolveName(name);
 }

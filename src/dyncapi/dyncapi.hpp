@@ -154,8 +154,6 @@ private:
     struct CygBackend;
 
     void resolveAllObjects();
-    std::optional<xray::PackedId> resolveIcEntry(
-        const select::InstrumentationConfig& ic, const std::string& name) const;
     std::optional<xray::PackedId> resolvePolicyEntry(
         const select::InstrumentationPolicy& policy, const std::string& name) const;
     /// Rewrites the attached measurement's sampling gates to match

@@ -20,7 +20,7 @@ select::SelectionReport RefinementSession::select(
     base.specText = specText;
     base.specName = specName;
     base.cache = &cache_;
-    base.inlineCache = &inlineCache_;
+    base.inlineCache = &inlineCaches_[specName];
     // Parallel sessions borrow the process-wide Executor pool: refinement
     // rounds are exactly the repeated-selection workload pool reuse targets.
     // A pool the caller injected through `base` wins — that is the width
@@ -30,6 +30,12 @@ select::SelectionReport RefinementSession::select(
     }
     base.threads = threads_;
     return select::runSelection(*graph_, base);
+}
+
+const select::InlineCompensationCache* RefinementSession::inlineCache(
+    const std::string& specName) const {
+    auto it = inlineCaches_.find(specName);
+    return it == inlineCaches_.end() ? nullptr : &it->second;
 }
 
 RefinementResult refineIc(const select::InstrumentationConfig& ic,
@@ -52,13 +58,14 @@ RefinementResult refineIc(const select::InstrumentationConfig& ic,
     // string_view keys borrow from options.keep, which outlives the loop.
     std::unordered_set<std::string_view> keepSet(options.keep.begin(),
                                                  options.keep.end());
+    std::vector<std::string> kept;
     for (const std::string& name : ic.functions) {
         auto it = byName.find(name);
         if (it == byName.end()) {
             // Not measured this run: keep (the region may simply be on a
             // cold path for this input).
             ++result.unmeasured;
-            result.ic.addFunction(name);
+            kept.push_back(name);
             continue;
         }
         const Accum& accum = it->second;
@@ -73,7 +80,7 @@ RefinementResult refineIc(const select::InstrumentationConfig& ic,
             result.excluded.push_back(name);
             result.excludedVisits += accum.visits;
         } else {
-            result.ic.addFunction(name);
+            kept.push_back(name);
             // Preserve any static-ID annotations for surviving entries.
             auto staticIt = ic.staticIds.find(name);
             if (staticIt != ic.staticIds.end()) {
@@ -81,6 +88,7 @@ RefinementResult refineIc(const select::InstrumentationConfig& ic,
             }
         }
     }
+    result.ic.assignFunctions(std::move(kept));
     return result;
 }
 

@@ -12,6 +12,7 @@
 // not a recompilation.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,6 +64,13 @@ RefinementResult refineIc(const select::InstrumentationConfig& ic,
 /// whose recorded read footprint the delta cannot have touched survive and
 /// keep answering, the rest re-evaluate. No manual invalidation hook is
 /// needed.
+///
+/// Inlining compensation is memoized per spec name: a session that cycles
+/// through several specs keeps one InlineCompensationCache for each, so a
+/// warm round of any of them replays its caller walk instead of the specs
+/// evicting each other from a single entry. Each memo still validates its
+/// input selection and the journal, so the key only decides which memo is
+/// probed; the memos grow with the number of distinct spec names only.
 class RefinementSession {
 public:
     /// `graph` must outlive the session. `threads` as in PipelineOptions:
@@ -94,17 +102,22 @@ public:
     }
 
     select::SelectorCache& cache() const { return cache_; }
-    select::InlineCompensationCache& inlineCache() const { return inlineCache_; }
+    /// The compensation memo of `specName`; nullptr before its first
+    /// select().
+    const select::InlineCompensationCache* inlineCache(
+        const std::string& specName) const;
     const cg::CallGraph& graph() const { return *graph_; }
 
 private:
     const cg::CallGraph* graph_;
     std::size_t threads_;
     mutable select::SelectorCache cache_;
-    /// Journal-validated memo for the compensation caller walk: rounds whose
-    /// graph delta is metric-only (the steady state between measurement
-    /// epochs) replay it instead of re-walking the caller relation.
-    mutable select::InlineCompensationCache inlineCache_;
+    /// Journal-validated memos for the compensation caller walk, one per
+    /// spec name: rounds whose graph delta is metric-only (the steady state
+    /// between measurement epochs) replay it instead of re-walking the
+    /// caller relation. Map nodes are stable, so select() hands out
+    /// pointers into it.
+    mutable std::map<std::string, select::InlineCompensationCache> inlineCaches_;
 };
 
 }  // namespace capi::dyncapi

@@ -685,9 +685,7 @@ void Aggregator::closeEpoch(bool timedOut) {
     if (safeMode_) {
         select::InstrumentationConfig keepIc;
         keepIc.specName = "safe-mode";
-        for (const std::string& name : options_.config.keep) {
-            keepIc.addFunction(name);
-        }
+        keepIc.assignFunctions(options_.config.keep);
         budgetNs = options_.config.budgetFraction * worldRuntimeNs;
         currentPolicy_ = select::InstrumentationPolicy::fullOf(keepIc);
         currentIc_ = currentPolicy_.patchSet();

@@ -268,11 +268,14 @@ adapt::EpochReport FleetClient::awaitPolicy() {
 
 void FleetClient::adoptFrame(const PolicyFrame& frame) {
     if (frame.baseline) {
+        std::vector<std::pair<std::string, select::RegionPolicy>> entries;
+        entries.reserve(frame.upserts.size());
+        for (const PolicyFrameEntry& entry : frame.upserts) {
+            entries.emplace_back(entry.name, entry.policy);
+        }
         select::InstrumentationPolicy fresh;
         fresh.specName = "fleet";
-        for (const PolicyFrameEntry& entry : frame.upserts) {
-            fresh.setRegion(entry.name, entry.policy);
-        }
+        fresh.assignRegions(std::move(entries));
         policy_ = std::move(fresh);
         ++stats_.baselinesReceived;
         return;

@@ -22,6 +22,12 @@ void InstrumentationConfig::addFunction(std::string name) {
     }
 }
 
+void InstrumentationConfig::assignFunctions(std::vector<std::string> names) {
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    functions = std::move(names);
+}
+
 std::string InstrumentationConfig::toScorePFilter() const {
     std::string out;
     out += "# CaPI instrumentation configuration";
@@ -38,7 +44,7 @@ std::string InstrumentationConfig::toScorePFilter() const {
 }
 
 InstrumentationConfig InstrumentationConfig::fromScorePFilter(const std::string& text) {
-    InstrumentationConfig ic;
+    std::vector<std::string> names;
     bool inBlock = false;
     bool sawBlock = false;
     int lineNo = 0;
@@ -78,11 +84,13 @@ InstrumentationConfig InstrumentationConfig::fromScorePFilter(const std::string&
         if (fields.size() <= nameIndex) {
             throw support::ParseError("filter: INCLUDE without a name", lineNo, 1);
         }
-        ic.addFunction(fields[nameIndex]);
+        names.push_back(std::move(fields[nameIndex]));
     }
     if (!sawBlock) {
         throw support::Error("filter: missing SCOREP_REGION_NAMES_BEGIN block");
     }
+    InstrumentationConfig ic;
+    ic.assignFunctions(std::move(names));
     return ic;
 }
 
@@ -114,9 +122,12 @@ InstrumentationConfig InstrumentationConfig::fromJson(const support::Json& doc) 
     ic.specName = doc.getString("spec", "");
     ic.application = doc.getString("application", "");
     if (const support::Json* fns = doc.find("functions")) {
+        std::vector<std::string> names;
+        names.reserve(fns->asArray().size());
         for (const support::Json& fn : fns->asArray()) {
-            ic.addFunction(fn.asString());
+            names.push_back(fn.asString());
         }
+        ic.assignFunctions(std::move(names));
     }
     if (const support::Json* ids = doc.find("staticIds")) {
         for (const auto& [name, id] : ids->asObject()) {
@@ -195,6 +206,29 @@ void InstrumentationPolicy::setRegion(const std::string& name,
     } else {
         functions.insert(it, name);
         regions.insert(regions.begin() + static_cast<std::ptrdiff_t>(index), policy);
+    }
+}
+
+void InstrumentationPolicy::assignRegions(
+    std::vector<std::pair<std::string, RegionPolicy>> entries) {
+    // Stable: entries for one name keep their order, so the last one wins.
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    functions.clear();
+    regions.clear();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (i + 1 < entries.size() && entries[i + 1].first == entries[i].first) {
+            continue;
+        }
+        auto& [name, policy] = entries[i];
+        if (policy.tier == Tier::Off) {
+            continue;
+        }
+        if (policy.tier == Tier::Full) {
+            policy.sampling = SamplingSpec{};
+        }
+        functions.push_back(std::move(name));
+        regions.push_back(policy);
     }
 }
 
@@ -286,6 +320,8 @@ InstrumentationPolicy InstrumentationPolicy::fromJson(const support::Json& doc) 
     policy.specName = doc.getString("spec", "");
     policy.application = doc.getString("application", "");
     if (const support::Json* entries = doc.find("regions")) {
+        std::vector<std::pair<std::string, RegionPolicy>> parsed;
+        parsed.reserve(entries->asArray().size());
         for (const support::Json& entry : entries->asArray()) {
             RegionPolicy region;
             std::string tier = entry.getString("tier", "full");
@@ -302,8 +338,9 @@ InstrumentationPolicy InstrumentationPolicy::fromJson(const support::Json& doc) 
             } else {
                 throw support::Error("policy: unknown tier '" + tier + "'");
             }
-            policy.setRegion(entry.getString("name", ""), region);
+            parsed.emplace_back(entry.getString("name", ""), region);
         }
+        policy.assignRegions(std::move(parsed));
     }
     if (const support::Json* ids = doc.find("staticIds")) {
         for (const auto& [name, id] : ids->asObject()) {

@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/json.hpp"
@@ -32,7 +33,14 @@ struct InstrumentationConfig {
     std::string application;
 
     bool contains(const std::string& name) const;
+    /// Inserts one name in sorted position. O(n) per call (a vector insert
+    /// shifts the tail), so n calls cost O(n^2) string moves: use it for
+    /// single inserts only.
     void addFunction(std::string name);
+    /// Replaces the list with `names`, sorted and de-duplicated once
+    /// (O(n log n)). Every builder that produces many names — selection,
+    /// surveys, file readers — collects them first and assigns them here.
+    void assignFunctions(std::vector<std::string> names);
     std::size_t size() const { return functions.size(); }
 
     /// Score-P filter-file format:
@@ -137,7 +145,12 @@ struct InstrumentationPolicy {
     Tier tierOf(const std::string& name) const;
     /// nullptr when the region is Off (absent).
     const RegionPolicy* policyOf(const std::string& name) const;
+    /// O(n) per call, like InstrumentationConfig::addFunction.
     void setRegion(const std::string& name, RegionPolicy policy);
+    /// Replaces every region with `entries`, with the same result as
+    /// setRegion on each entry in order (a later entry for a name wins, an
+    /// Off entry removes it) but one sort instead of n sorted inserts.
+    void assignRegions(std::vector<std::pair<std::string, RegionPolicy>> entries);
     std::size_t countOf(Tier tier) const;
 
     /// Lifts a binary IC into the degenerate all-Full policy.

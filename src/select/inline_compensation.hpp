@@ -43,6 +43,11 @@ struct InlineCompensationStats {
 /// The journal is consulted via CallGraph::deltaSince: trimmed history or
 /// any structural record (node / call-edge / override add or remove)
 /// invalidates, so the cache is purely an optimization channel.
+///
+/// A cache holds one entry: a recompute overwrites it. A caller that
+/// alternates between several selections keeps one cache per stream of
+/// inputs — RefinementSession keeps one per spec name — since one shared
+/// cache would miss on every switch and re-walk the caller relation.
 class InlineCompensationCache {
 public:
     std::uint64_t reuses() const { return reuses_; }

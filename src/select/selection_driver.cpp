@@ -43,8 +43,10 @@ SelectionReport runSelection(const cg::CallGraph& graph,
     report.selectedFinal = selection.count();
 
     report.ic.specName = options.specName;
-    selection.forEach(
-        [&](cg::FunctionId id) { report.ic.addFunction(graph.name(id)); });
+    std::vector<std::string> names;
+    names.reserve(report.selectedFinal);
+    selection.forEach([&](cg::FunctionId id) { names.push_back(graph.name(id)); });
+    report.ic.assignFunctions(std::move(names));
 
     report.pipelineRun = std::move(run);
     report.selectionSeconds = timer.elapsedSec();

@@ -3,9 +3,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "select/ic.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -69,6 +73,35 @@ TEST(Ic, JsonRoundTripWithStaticIds) {
     EXPECT_EQ(round.application, "lulesh");
     ASSERT_EQ(round.staticIds.size(), 1u);
     EXPECT_EQ(round.staticIds.at("Amul"), 0x01000005u);
+}
+
+TEST(Ic, AssignFunctionsMatchesOneInsertPerName) {
+    capi::support::SplitMix64 rng(7);
+    std::vector<std::string> names;
+    InstrumentationConfig reference;
+    for (int i = 0; i < 500; ++i) {
+        names.push_back("fn" + std::to_string(rng.nextBelow(300)));  // Repeats.
+        reference.addFunction(names.back());
+    }
+    InstrumentationConfig bulk;
+    bulk.assignFunctions(names);
+    EXPECT_EQ(bulk.functions, reference.functions);
+
+    // The readers build through the same helper: unsorted, repeated input
+    // comes back sorted and unique.
+    std::string filter = "SCOREP_REGION_NAMES_BEGIN\n  EXCLUDE *\n";
+    capi::support::Json doc = capi::support::Json::object();
+    doc["format"] = capi::support::Json("capi-ic/1");
+    capi::support::Json fns = capi::support::Json::array();
+    for (const std::string& name : names) {
+        filter += "  INCLUDE MANGLED " + name + "\n";
+        fns.push_back(capi::support::Json(name));
+    }
+    filter += "SCOREP_REGION_NAMES_END\n";
+    doc["functions"] = fns;
+    EXPECT_EQ(InstrumentationConfig::fromScorePFilter(filter).functions,
+              reference.functions);
+    EXPECT_EQ(InstrumentationConfig::fromJson(doc).functions, reference.functions);
 }
 
 TEST(Ic, JsonRejectsUnknownFormat) {
@@ -166,6 +199,46 @@ TEST(Policy, JsonRoundTripPreservesTiersAndSpecs) {
     EXPECT_EQ(round.specName, "kernels");
     EXPECT_EQ(round.staticIds.at("Amul"), 0x01000005u);
     EXPECT_EQ(round.fingerprint(), policy.fingerprint());
+}
+
+TEST(Policy, AssignRegionsMatchesSetRegionInOrder) {
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        capi::support::SplitMix64 rng(seed);
+        std::vector<std::pair<std::string, RegionPolicy>> entries;
+        InstrumentationPolicy reference;
+        for (int i = 0; i < 400; ++i) {
+            RegionPolicy region;
+            region.tier = static_cast<Tier>(rng.nextBelow(3));
+            region.sampling.everyN = static_cast<std::uint32_t>(1 + rng.nextBelow(64));
+            region.sampling.minIntervalNs = rng.nextBelow(2) * 500;
+            entries.emplace_back("r" + std::to_string(rng.nextBelow(150)), region);
+            reference.setRegion(entries.back().first, region);
+        }
+        InstrumentationPolicy bulk;
+        bulk.assignRegions(entries);
+        EXPECT_EQ(bulk.functions, reference.functions) << "seed=" << seed;
+        EXPECT_EQ(bulk.regions, reference.regions) << "seed=" << seed;
+        EXPECT_EQ(bulk.fingerprint(), reference.fingerprint()) << "seed=" << seed;
+
+        // fromJson reads entries in document order through the same helper.
+        capi::support::Json doc = capi::support::Json::object();
+        doc["format"] = capi::support::Json("capi-policy/1");
+        capi::support::Json regions = capi::support::Json::array();
+        for (const auto& [name, region] : entries) {
+            capi::support::Json entry = capi::support::Json::object();
+            entry["name"] = capi::support::Json(name);
+            entry["tier"] = capi::support::Json(capi::select::tierName(region.tier));
+            entry["everyN"] = capi::support::Json(
+                static_cast<std::int64_t>(region.sampling.everyN));
+            entry["minIntervalNs"] = capi::support::Json(
+                static_cast<std::int64_t>(region.sampling.minIntervalNs));
+            regions.push_back(entry);
+        }
+        doc["regions"] = regions;
+        EXPECT_EQ(InstrumentationPolicy::fromJson(doc).fingerprint(),
+                  reference.fingerprint())
+            << "seed=" << seed;
+    }
 }
 
 TEST(Policy, DiffClassifiesEveryTransition) {

@@ -714,6 +714,113 @@ TEST(IncrementalEquivalence, FinalIcMatchesFullSelection) {
     }
 }
 
+// ----------------------------------------- per-spec compensation memos --
+
+/// An oracle that misses every inline-specified function: compensation
+/// swaps those for their first callers with a symbol.
+select::SetSymbolOracle symbolsOfNonInline(const cg::CallGraph& graph) {
+    select::SetSymbolOracle oracle;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        if (!graph.desc(id).flags.inlineSpecified) {
+            oracle.add(graph.name(id));
+        }
+    }
+    return oracle;
+}
+
+const std::vector<std::pair<std::string, std::string>> kCycledSpecs = {
+    {"hot", "flops(\">=\", 20, %%)\n"},
+    {"paths", "onCallPathTo(flops(\">=\", 35, %%))\n"},
+    {"inc", kIncrementalSpec},
+};
+
+/// The IC a session-free, cache-free runSelection produces.
+select::InstrumentationConfig coldIc(const cg::CallGraph& graph,
+                                     const select::SymbolOracle& oracle,
+                                     const std::string& specText) {
+    select::SelectionOptions options;
+    options.specText = specText;
+    options.symbolOracle = &oracle;
+    return select::runSelection(graph, options).ic;
+}
+
+TEST(SessionSpecMemo, SecondCycleReplaysEverySpec) {
+    cg::CallGraph graph = randomGraph(77, 400);
+    select::SetSymbolOracle oracle = symbolsOfNonInline(graph);
+    select::SelectionOptions base;
+    base.symbolOracle = &oracle;
+    dyncapi::RefinementSession session(graph, /*threads=*/2);
+
+    std::size_t added = 0;
+    for (const auto& [name, text] : kCycledSpecs) {
+        EXPECT_EQ(session.inlineCache(name), nullptr);
+        select::SelectionReport first = session.select(text, name, base);
+        EXPECT_FALSE(first.inlineCompensationReused) << name;
+        added += first.added;
+    }
+    EXPECT_GT(added, 0u);  // Compensation has work to replay.
+
+    for (const auto& [name, text] : kCycledSpecs) {
+        select::SelectionReport second = session.select(text, name, base);
+        EXPECT_TRUE(second.inlineCompensationReused) << name;
+        EXPECT_EQ(second.ic.functions, coldIc(graph, oracle, text).functions)
+            << name;
+        const select::InlineCompensationCache* memo = session.inlineCache(name);
+        ASSERT_NE(memo, nullptr);
+        EXPECT_EQ(memo->recomputes(), 1u) << name;
+        EXPECT_EQ(memo->reuses(), 1u) << name;
+    }
+}
+
+TEST(SessionSpecMemo, CallEdgeInvalidatesEverySpecMemo) {
+    cg::CallGraph graph = randomGraph(91, 400);
+    select::SetSymbolOracle oracle = symbolsOfNonInline(graph);
+    select::SelectionOptions base;
+    base.symbolOracle = &oracle;
+    dyncapi::RefinementSession session(graph, /*threads=*/2);
+    for (const auto& [name, text] : kCycledSpecs) {
+        session.select(text, name, base);
+    }
+
+    // A call edge the graph does not have yet: a structural journal record.
+    const cg::FunctionId main = graph.lookup("main");
+    cg::FunctionId callee = static_cast<cg::FunctionId>(graph.size() - 1);
+    while (std::find(graph.callees(main).begin(), graph.callees(main).end(),
+                     callee) != graph.callees(main).end()) {
+        --callee;
+    }
+    graph.addCallEdge(main, callee);
+    for (const auto& [name, text] : kCycledSpecs) {
+        select::SelectionReport after = session.select(text, name, base);
+        EXPECT_FALSE(after.inlineCompensationReused) << name;
+        EXPECT_EQ(session.inlineCache(name)->recomputes(), 2u) << name;
+        EXPECT_EQ(after.ic.functions, coldIc(graph, oracle, text).functions)
+            << name;
+    }
+    // The refreshed memos serve the next cycle again.
+    for (const auto& [name, text] : kCycledSpecs) {
+        EXPECT_TRUE(session.select(text, name, base).inlineCompensationReused)
+            << name;
+    }
+}
+
+TEST(SurveyOfDefinedFunctions, IsTheSortedNamesOfDefinedNodes) {
+    cg::CallGraph graph = randomGraph(5, 300);
+    for (cg::FunctionId id = 0; id < graph.size(); id += 7) {
+        graph.mutateDesc(id, [](cg::FunctionDesc& d) { d.flags.hasBody = false; });
+    }
+    std::vector<std::string> expected;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        if (graph.desc(id).flags.hasBody) {
+            expected.push_back(graph.name(id));
+        }
+    }
+    std::sort(expected.begin(), expected.end());
+    select::InstrumentationConfig survey = adapt::surveyOfDefinedFunctions(graph);
+    EXPECT_EQ(survey.functions, expected);
+    EXPECT_EQ(survey.specName, "survey");
+}
+
 // -------------------------------------------- controller metric journaling --
 
 TEST(ControllerFolding, EpochFoldsVisitsAsMetricTouches) {

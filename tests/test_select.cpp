@@ -3,6 +3,11 @@
 // compensation and the selection driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "cg/call_graph.hpp"
 #include "select/inline_compensation.hpp"
 #include "select/pipeline.hpp"
@@ -456,5 +461,88 @@ TEST(SelectionDriver, PipelineTimingsCoverAllStages) {
     EXPECT_EQ(report.pipelineRun.timingsNs[0].first, "a");
     EXPECT_EQ(report.pipelineRun.timingsNs[2].first, "<anonymous:0>");
 }
+
+// A random graph whose names are not in id order, so an IC that is sorted
+// only because ids happened to be is caught. About 10% of the nodes are
+// declarations, and the oracle misses about 25% of the symbols, so both the
+// defined-only filter and inlining compensation shape the final set.
+struct ScrambledFixture {
+    cg::CallGraph graph;
+    select::SetSymbolOracle oracle;
+};
+
+ScrambledFixture scrambledFixture(std::uint64_t seed, std::size_t nodes) {
+    capi::support::SplitMix64 rng(seed);
+    ScrambledFixture fx;
+    for (std::size_t i = 0; i < nodes; ++i) {
+        cg::FunctionDesc desc;
+        desc.name = i == 0 ? "main"
+                           : "f" + std::to_string(rng.nextBelow(100000)) + "_" +
+                                 std::to_string(i);
+        desc.prettyName = desc.name;
+        desc.flags.hasBody = i == 0 || !rng.nextBool(0.1);
+        desc.metrics.flops = static_cast<std::uint32_t>(rng.nextBelow(40));
+        desc.metrics.loopDepth = static_cast<std::uint32_t>(rng.nextBelow(3));
+        desc.metrics.numStatements = 1 + static_cast<std::uint32_t>(rng.nextBelow(30));
+        fx.graph.addFunction(desc);
+        if (i == 0 || rng.nextBool(0.75)) {
+            fx.oracle.add(desc.name);
+        }
+    }
+    for (std::size_t i = 1; i < nodes; ++i) {
+        for (std::uint64_t k = 1 + rng.nextBelow(2); k > 0; --k) {
+            fx.graph.addCallEdge(static_cast<cg::FunctionId>(rng.nextBelow(i)),
+                                 static_cast<cg::FunctionId>(i));
+        }
+    }
+    return fx;
+}
+
+class SelectionIcProperty
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {};
+
+TEST_P(SelectionIcProperty, IcIsTheSortedNameListOfTheFinalSet) {
+    const auto [seed, threads] = GetParam();
+    ScrambledFixture fx = scrambledFixture(seed, 600);
+    const std::string spec =
+        "hot = flops(\">=\", 20, %%)\n"
+        "join(onCallPathTo(%hot), loopDepth(\">=\", 2, %%))\n";
+
+    select::SelectionOptions options;
+    options.specText = spec;
+    options.symbolOracle = &fx.oracle;
+    options.threads = threads;
+    select::SelectionReport report = select::runSelection(fx.graph, options);
+
+    // The final set, rebuilt step by step from the pipeline result.
+    FunctionSet finalSet = runSpec(fx.graph, spec);
+    FunctionSet defined(fx.graph.size());
+    for (cg::FunctionId id = 0; id < fx.graph.size(); ++id) {
+        if (fx.graph.desc(id).flags.hasBody) {
+            defined.add(id);
+        }
+    }
+    finalSet &= defined;
+    select::compensateInlining(fx.graph, finalSet, fx.oracle);
+    std::vector<std::string> expected = namesOf(fx.graph, finalSet);
+    std::sort(expected.begin(), expected.end());
+
+    const std::vector<std::string>& ic = report.ic.functions;
+    EXPECT_TRUE(std::is_sorted(ic.begin(), ic.end()));
+    EXPECT_EQ(std::adjacent_find(ic.begin(), ic.end()), ic.end());
+    EXPECT_EQ(ic, expected);
+    EXPECT_EQ(ic.size(), report.selectedFinal);
+
+    // The one-insert-per-name reference, in id order.
+    select::InstrumentationConfig reference;
+    finalSet.forEach([&](cg::FunctionId id) { reference.addFunction(fx.graph.name(id)); });
+    EXPECT_EQ(ic, reference.functions);
+    EXPECT_GT(report.added, 0u);  // The sweep exercises compensation.
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedsAndWidths, SelectionIcProperty,
+                         ::testing::Combine(::testing::Values(1u, 17u, 4242u, 99991u),
+                                            ::testing::Values(std::size_t{1},
+                                                              std::size_t{4})));
 
 }  // namespace

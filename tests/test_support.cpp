@@ -124,10 +124,15 @@ TEST(Strings, Trim) {
 }
 
 struct GlobCase {
+    const char* name;
     const char* pattern;
     const char* text;
     bool expected;
 };
+
+// Print a case by its name: the default printer dumps the struct's pointer
+// bytes, so discovered test names would differ from build to build.
+void PrintTo(const GlobCase& c, std::ostream* os) { *os << c.name; }
 
 class GlobTest : public ::testing::TestWithParam<GlobCase> {};
 
@@ -140,20 +145,20 @@ TEST_P(GlobTest, Matches) {
 INSTANTIATE_TEST_SUITE_P(
     Patterns, GlobTest,
     ::testing::Values(
-        GlobCase{"MPI_*", "MPI_Allreduce", true},
-        GlobCase{"MPI_*", "PMPI_Allreduce", false},
-        GlobCase{"*", "", true},
-        GlobCase{"*", "anything", true},
-        GlobCase{"", "", true},
-        GlobCase{"", "x", false},
-        GlobCase{"a?c", "abc", true},
-        GlobCase{"a?c", "ac", false},
-        GlobCase{"*Foam*", "icoFoamSolver", true},
-        GlobCase{"*::solve*", "Foam::fvMatrix::solve", true},
-        GlobCase{"a*b*c", "aXXbYYc", true},
-        GlobCase{"a*b*c", "aXXcYYb", false},
-        GlobCase{"**", "x", true},
-        GlobCase{"a*a*a*a*b", "aaaaaaaaaaaaaaaaaaaa", false}));
+        GlobCase{"MpiPrefixMatches", "MPI_*", "MPI_Allreduce", true},
+        GlobCase{"MpiPrefixRejectsPmpi", "MPI_*", "PMPI_Allreduce", false},
+        GlobCase{"StarMatchesEmpty", "*", "", true},
+        GlobCase{"StarMatchesAnything", "*", "anything", true},
+        GlobCase{"EmptyMatchesEmpty", "", "", true},
+        GlobCase{"EmptyRejectsNonEmpty", "", "x", false},
+        GlobCase{"QuestionMatchesOneChar", "a?c", "abc", true},
+        GlobCase{"QuestionRejectsMissingChar", "a?c", "ac", false},
+        GlobCase{"InfixMatches", "*Foam*", "icoFoamSolver", true},
+        GlobCase{"ScopedSuffixMatches", "*::solve*", "Foam::fvMatrix::solve", true},
+        GlobCase{"MultiStarInOrder", "a*b*c", "aXXbYYc", true},
+        GlobCase{"MultiStarRejectsOutOfOrder", "a*b*c", "aXXcYYb", false},
+        GlobCase{"DoubleStarMatches", "**", "x", true},
+        GlobCase{"BacktrackingRejects", "a*a*a*a*b", "aaaaaaaaaaaaaaaaaaaa", false}));
 
 TEST(Strings, IsGlobPattern) {
     EXPECT_TRUE(capi::support::isGlobPattern("MPI_*"));
