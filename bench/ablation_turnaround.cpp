@@ -20,13 +20,13 @@ void runApp(const bench::PreparedApp& app) {
     binsim::Process process(app.compiled);
     dyncapi::DynCapi dyn(process);
     std::printf("%s: modelled full rebuild %.0fs (%.1f min)\n", app.name.c_str(),
-                app.compiled.fullRebuildSeconds,
-                app.compiled.fullRebuildSeconds / 60.0);
+                app.compiled.fullRebuildSeconds(),
+                app.compiled.fullRebuildSeconds() / 60.0);
     for (const apps::NamedSpec& spec : apps::evaluationSpecs()) {
         select::SelectionReport report =
             bench::runPaperSelection(app, spec.name, spec.text);
         dyncapi::InitStats init = dyn.applyIc(report.ic);
-        double speedup = app.compiled.fullRebuildSeconds /
+        double speedup = app.compiled.fullRebuildSeconds() /
                          (init.totalSeconds > 0 ? init.totalSeconds : 1e-9);
         std::printf("  %-16s IC=%6zu  re-patch %9.3f ms  vs rebuild: %10.0fx\n",
                     spec.name.c_str(), report.ic.size(), init.totalSeconds * 1e3,

@@ -1,14 +1,18 @@
-// Micro-benchmarks of the MetaCG substrate: local construction, whole-program
-// merge, JSON (de)serialization throughput, and Node-vs-CSR adjacency
-// traversal (the data-layout win every selector rides on).
+// Micro-benchmarks of the MetaCG substrate: the streaming whole-program
+// build, JSON (de)serialization throughput, Node-vs-CSR adjacency traversal
+// (the data-layout win every selector rides on), and Tinit over a shared
+// compiled image.
 #include <benchmark/benchmark.h>
 
 #include "apps/lulesh.hpp"
 #include "apps/openfoam.hpp"
 #include "bench_util.hpp"
+#include "binsim/compiler.hpp"
+#include "binsim/process.hpp"
 #include "cg/csr_view.hpp"
 #include "cg/metacg_builder.hpp"
 #include "cg/metacg_json.hpp"
+#include "dyncapi/dyncapi.hpp"
 
 namespace {
 
@@ -32,6 +36,35 @@ void BM_BuildWholeProgramCg(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BuildWholeProgramCg)->Arg(10000)->Arg(50000);
+
+// The set-up shape: derive the source model, then stream it (as a temporary)
+// into the whole-program graph.
+void BM_BuildFromAppModel(benchmark::State& state) {
+    binsim::AppModel model = modelOfSize(static_cast<std::uint32_t>(state.range(0)));
+    for (auto _ : state) {
+        cg::MetaCgBuilder builder;
+        cg::CallGraph graph = builder.build(model.toSourceModel());
+        benchmark::DoNotOptimize(graph.size());
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BuildFromAppModel)->Arg(10000)->Arg(50000);
+
+// Tinit: load a process from a compiled program that stays shared (no image
+// copy) and resolve every sled to a name.
+void BM_ProcessTinit(benchmark::State& state) {
+    binsim::CompileOptions options;
+    options.xrayThreshold.instructionThreshold = 1;
+    const binsim::CompiledProgram compiled = binsim::compile(
+        modelOfSize(static_cast<std::uint32_t>(state.range(0))), options);
+    for (auto _ : state) {
+        binsim::Process process(compiled);
+        dyncapi::DynCapi dyn(process);
+        benchmark::DoNotOptimize(dyn.sleddedFunctionCount());
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ProcessTinit)->Arg(10000)->Arg(50000);
 
 void BM_MetaCgToJson(benchmark::State& state) {
     binsim::AppModel model = modelOfSize(static_cast<std::uint32_t>(state.range(0)));

@@ -151,8 +151,8 @@ void BM_CygResolveHitMT(benchmark::State& state) {
         measurement = new scorep::Measurement();
         adapter = new scorep::CygProfileAdapter(
             *measurement,
-            scorep::SymbolResolver::fromExecutable(process->program().executable));
-        std::uint32_t kernel = process->program().model.indexOf("kernel");
+            scorep::SymbolResolver::fromExecutable(process->program().executable()));
+        std::uint32_t kernel = process->program().model().indexOf("kernel");
         address = process->execInfo()[kernel].entryAddress;
         adapter->funcEnter(address, 0);  // Warm: first sighting off the clock.
         adapter->funcExit(address, 0);

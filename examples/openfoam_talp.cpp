@@ -33,7 +33,7 @@ int main() {
     binsim::CompiledProgram compiled = binsim::compile(model, copts);
     dyncapi::ProcessSymbolOracle oracle(compiled);
     std::printf("icoFoam model: %zu CG nodes, %zu DSOs\n", graph.size(),
-                compiled.dsos.size());
+                compiled.dsos().size());
 
     spec::ModuleResolver resolver = apps::bundledResolver();
     select::SelectionOptions options;

@@ -37,9 +37,9 @@ int main() {
     spec::ModuleResolver resolver = apps::bundledResolver();
 
     std::printf("one instrumented build: %zu TUs, modelled full rebuild %.0fs\n\n",
-                static_cast<std::size_t>(compiled.fullRebuildSeconds /
+                static_cast<std::size_t>(compiled.fullRebuildSeconds() /
                                          copts.secondsPerTranslationUnit),
-                compiled.fullRebuildSeconds);
+                compiled.fullRebuildSeconds());
 
     binsim::Process process(compiled);
     dyncapi::DynCapi dyn(process);
@@ -77,8 +77,8 @@ int main() {
                 totalRepatch * 1e3);
     std::printf("3 refinements via recompilation (static workflow): %.0f s "
                 "(modelled, paper: ~50 min each for OpenFOAM)\n",
-                3 * compiled.fullRebuildSeconds);
+                3 * compiled.fullRebuildSeconds());
     std::printf("turnaround improvement: ~%.0fx\n",
-                3 * compiled.fullRebuildSeconds / (totalRepatch > 0 ? totalRepatch : 1));
+                3 * compiled.fullRebuildSeconds() / (totalRepatch > 0 ? totalRepatch : 1));
     return 0;
 }

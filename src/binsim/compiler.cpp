@@ -99,11 +99,16 @@ ObjectImage buildObject(const AppModel& model, const CompileOptions& options,
 
 }  // namespace
 
+CompiledProgram::CompiledProgram() {
+    static const std::shared_ptr<const Image> empty = std::make_shared<Image>();
+    image_ = empty;
+}
+
 const ObjectImage* CompiledProgram::objectOf(std::uint32_t modelIndex) const {
-    if (executable.modelToLocal.contains(modelIndex)) {
-        return &executable;
+    if (image_->executable.modelToLocal.contains(modelIndex)) {
+        return &image_->executable;
     }
-    for (const ObjectImage& dso : dsos) {
+    for (const ObjectImage& dso : image_->dsos) {
         if (dso.modelToLocal.contains(modelIndex)) {
             return &dso;
         }
@@ -117,7 +122,8 @@ const CompiledFunction* CompiledProgram::compiledOf(std::uint32_t modelIndex) co
 }
 
 CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
-    CompiledProgram program;
+    auto image = std::make_shared<CompiledProgram::Image>();
+    CompiledProgram::Image& program = *image;
     program.model = model;
     program.options = options;
 
@@ -191,7 +197,7 @@ CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
     program.fullRebuildSeconds =
         static_cast<double>(units.size()) * options.secondsPerTranslationUnit;
 
-    return program;
+    return CompiledProgram(std::move(image));
 }
 
 }  // namespace capi::binsim

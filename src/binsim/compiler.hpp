@@ -15,6 +15,7 @@
 // to rebuild, which is what runtime-adaptable instrumentation eliminates.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "binsim/app_model.hpp"
@@ -38,19 +39,47 @@ struct CompileOptions {
     double secondsPerTranslationUnit = 0.35;    ///< Rebuild cost model.
 };
 
-struct CompiledProgram {
-    AppModel model;
-    CompileOptions options;
-    ObjectImage executable;
-    std::vector<ObjectImage> dsos;
+/// The toolchain's output: an immutable value whose image (model copy,
+/// object images with their symbol and sled tables, inlining facts) sits
+/// behind a shared const pointer. Copying a CompiledProgram bumps a
+/// reference count; nothing ever writes a shared image. Everything a loader
+/// decides per run (load bases, which DSOs are mapped) lives in Process.
+class CompiledProgram {
+public:
+    /// An empty program: no functions, an empty executable image.
+    CompiledProgram();
+
+    const AppModel& model() const { return image_->model; }
+    const CompileOptions& options() const { return image_->options; }
+    /// Link-time images; load bases are per process (Process::loadBase).
+    const ObjectImage& executable() const { return image_->executable; }
+    const std::vector<ObjectImage>& dsos() const { return image_->dsos; }
     /// True when the function was inlined into its callers (no call executed).
-    std::vector<bool> inlinedAway;
-    double fullRebuildSeconds = 0.0;
+    const std::vector<bool>& inlinedAway() const { return image_->inlinedAway; }
+    double fullRebuildSeconds() const { return image_->fullRebuildSeconds; }
 
     /// Object image holding a model function's code; nullptr when inlined
     /// away without a retained out-of-line copy.
     const ObjectImage* objectOf(std::uint32_t modelIndex) const;
     const CompiledFunction* compiledOf(std::uint32_t modelIndex) const;
+
+private:
+    struct Image {
+        AppModel model;
+        CompileOptions options;
+        ObjectImage executable;
+        std::vector<ObjectImage> dsos;
+        std::vector<bool> inlinedAway;
+        double fullRebuildSeconds = 0.0;
+    };
+
+    explicit CompiledProgram(std::shared_ptr<const Image> image)
+        : image_(std::move(image)) {}
+
+    friend CompiledProgram compile(const AppModel& model,
+                                   const CompileOptions& options);
+
+    std::shared_ptr<const Image> image_;
 };
 
 /// Runs the simulated toolchain over the model.

@@ -34,7 +34,7 @@ void ExecutionEngine::call(std::uint32_t modelIndex, RankState& state) {
                              std::to_string(options_.maxDynamicCalls) + ")");
     }
 
-    const AppFunction& fn = process_->program().model.functions[modelIndex];
+    const AppFunction& fn = process_->program().model().functions[modelIndex];
     const ExecInfo& info = process_->execInfo()[modelIndex];
     xray::XRayRuntime& xr = process_->xray();
 
@@ -72,7 +72,7 @@ void ExecutionEngine::call(std::uint32_t modelIndex, RankState& state) {
 }
 
 RunStats ExecutionEngine::run(int rank, int worldSize) {
-    return runFunction(process_->program().model.entry, rank, worldSize);
+    return runFunction(process_->program().model().entry, rank, worldSize);
 }
 
 RunStats ExecutionEngine::runFunction(std::uint32_t modelIndex, int rank,

@@ -28,12 +28,12 @@ struct CompiledFunction {
     bool hasSleds = false;            ///< False when below the XRay threshold.
 };
 
-/// A compiled executable or shared object.
+/// A compiled executable or shared object, at link-time addresses. Where it
+/// is mapped is per process (Process::loadBase).
 struct ObjectImage {
     std::string name;
     bool isMainExecutable = false;
     std::uint64_t linkBase = 0;
-    std::uint64_t loadBase = 0;   ///< Assigned by the loader.
     std::uint64_t sizeBytes = 0;
     bool xrayInstrumented = false;
     bool picTrampolines = false;  ///< True for DSOs built with xray-dso.
@@ -43,8 +43,6 @@ struct ObjectImage {
     std::vector<CompiledFunction> functions;   ///< Functions with code here.
     std::unordered_map<std::uint32_t, std::uint32_t> modelToLocal;
     ///< AppModel function index -> index into `functions`.
-
-    bool loaded() const { return loadBase != 0 || isMainExecutable; }
 
     const CompiledFunction* findByModelIndex(std::uint32_t modelIndex) const {
         auto it = modelToLocal.find(modelIndex);

@@ -7,29 +7,30 @@ namespace capi::binsim {
 Process::Process(CompiledProgram program, ProcessOptions options)
     : program_(std::move(program)), options_(options) {
     // Layout: executable at its link base, DSOs relocated behind it.
-    std::uint64_t cursor =
-        program_.executable.linkBase + program_.executable.sizeBytes;
-    program_.executable.loadBase = program_.executable.linkBase;
-    for (ObjectImage& dso : program_.dsos) {
+    const ObjectImage& executable = program_.executable();
+    std::uint64_t cursor = executable.linkBase + executable.sizeBytes;
+    dsoLoadBases_.reserve(program_.dsos().size());
+    for (const ObjectImage& dso : program_.dsos()) {
         cursor += options_.dsoGapBytes;
-        dso.loadBase = cursor;
+        dsoLoadBases_.push_back(cursor);
         cursor += dso.sizeBytes;
     }
 
     memory_ = std::make_unique<xray::CodeMemory>(cursor);
     xray_ = std::make_unique<xray::XRayRuntime>(*memory_);
-    dsoObjectIds_.assign(program_.dsos.size(), std::nullopt);
-    dsoLoaded_.assign(program_.dsos.size(), true);
+    dsoObjectIds_.assign(program_.dsos().size(), std::nullopt);
+    dsoLoaded_.assign(program_.dsos().size(), true);
 
     registerObjects();
     rebuildExecInfo();
 }
 
-xray::ObjectRegistration Process::makeRegistration(const ObjectImage& image) const {
+xray::ObjectRegistration Process::makeRegistration(const ObjectImage& image,
+                                                   std::uint64_t loadBase) const {
     xray::ObjectRegistration reg;
     reg.name = image.name;
     reg.linkBase = image.linkBase;
-    reg.loadBase = image.loadBase;
+    reg.loadBase = loadBase;
     reg.trampolinesPositionIndependent = image.picTrampolines;
     reg.sledTable = image.sledTable;
     return reg;
@@ -38,11 +39,12 @@ xray::ObjectRegistration Process::makeRegistration(const ObjectImage& image) con
 void Process::registerObjects() {
     localToModel_.assign(xray::kMaxObjectId + 1, {});
 
-    xray_->registerMainExecutable(makeRegistration(program_.executable));
+    const ObjectImage& executable = program_.executable();
+    xray_->registerMainExecutable(makeRegistration(executable, loadBase(-1)));
     {
         std::vector<std::uint32_t>& table = localToModel_[0];
-        table.resize(program_.executable.sledTable.functionCount());
-        for (const CompiledFunction& fn : program_.executable.functions) {
+        table.resize(executable.sledTable.functionCount());
+        for (const CompiledFunction& fn : executable.functions) {
             if (fn.hasSleds) {
                 table[fn.localId] = fn.modelIndex;
             }
@@ -52,13 +54,13 @@ void Process::registerObjects() {
     if (!options_.registerDsos) {
         return;
     }
-    for (std::size_t d = 0; d < program_.dsos.size(); ++d) {
-        const ObjectImage& dso = program_.dsos[d];
+    for (std::size_t d = 0; d < program_.dsos().size(); ++d) {
+        const ObjectImage& dso = program_.dsos()[d];
         if (!dso.xrayInstrumented || dso.sledTable.empty()) {
             continue;
         }
         std::optional<xray::DsoHandle> handle =
-            xray::dsoRegister(*xray_, makeRegistration(dso));
+            xray::dsoRegister(*xray_, makeRegistration(dso, dsoLoadBases_[d]));
         if (!handle.has_value()) {
             throw support::Error("loader: XRay DSO registry exhausted for '" +
                                  dso.name + "'");
@@ -75,10 +77,11 @@ void Process::registerObjects() {
 }
 
 void Process::rebuildExecInfo() {
-    execInfo_.assign(program_.model.functions.size(), ExecInfo{});
-    for (std::uint32_t i = 0; i < program_.model.functions.size(); ++i) {
+    const std::size_t functionCount = program_.model().functions.size();
+    execInfo_.assign(functionCount, ExecInfo{});
+    for (std::uint32_t i = 0; i < functionCount; ++i) {
         ExecInfo& info = execInfo_[i];
-        info.inlined = program_.inlinedAway[i];
+        info.inlined = program_.inlinedAway()[i];
 
         const ObjectImage* obj = program_.objectOf(i);
         const CompiledFunction* fn = program_.compiledOf(i);
@@ -97,14 +100,16 @@ void Process::rebuildExecInfo() {
 
         // Resolve the object id; DSOs may be unloaded (dlclose).
         std::optional<xray::ObjectId> objectId;
+        std::uint64_t base = obj->linkBase;
         if (obj->isMainExecutable) {
             objectId = xray::kMainExecutableObjectId;
         } else {
-            for (std::size_t d = 0; d < program_.dsos.size(); ++d) {
-                if (&program_.dsos[d] == obj) {
+            for (std::size_t d = 0; d < program_.dsos().size(); ++d) {
+                if (&program_.dsos()[d] == obj) {
                     if (dsoLoaded_[d]) {
                         objectId = dsoObjectIds_[d];
                     }
+                    base = dsoLoadBases_[d];
                     break;
                 }
             }
@@ -113,7 +118,7 @@ void Process::rebuildExecInfo() {
             continue;
         }
         info.hasSleds = true;
-        std::uint64_t delta = obj->loadBase - obj->linkBase;
+        std::uint64_t delta = base - obj->linkBase;
         info.entryAddress = fn->entryAddress + delta;
         info.exitAddress = fn->exitAddress + delta;
         info.packedId = xray::packId(*objectId, fn->localId);
@@ -122,12 +127,12 @@ void Process::rebuildExecInfo() {
 
 std::vector<MapEntry> Process::memoryMap() const {
     std::vector<MapEntry> map;
-    map.push_back({program_.executable.name, program_.executable.loadBase,
-                   program_.executable.sizeBytes, true});
-    for (std::size_t d = 0; d < program_.dsos.size(); ++d) {
+    map.push_back({program_.executable().name, loadBase(-1),
+                   program_.executable().sizeBytes, true});
+    for (std::size_t d = 0; d < program_.dsos().size(); ++d) {
         if (dsoLoaded_[d]) {
-            map.push_back({program_.dsos[d].name, program_.dsos[d].loadBase,
-                           program_.dsos[d].sizeBytes, false});
+            map.push_back({program_.dsos()[d].name, dsoLoadBases_[d],
+                           program_.dsos()[d].sizeBytes, false});
         }
     }
     return map;
@@ -135,12 +140,23 @@ std::vector<MapEntry> Process::memoryMap() const {
 
 const ObjectImage& Process::objectImage(int dsoIndex) const {
     if (dsoIndex < 0) {
-        return program_.executable;
+        return program_.executable();
     }
-    if (static_cast<std::size_t>(dsoIndex) >= program_.dsos.size()) {
+    if (static_cast<std::size_t>(dsoIndex) >= program_.dsos().size()) {
         throw support::Error("objectImage: bad DSO index");
     }
-    return program_.dsos[static_cast<std::size_t>(dsoIndex)];
+    return program_.dsos()[static_cast<std::size_t>(dsoIndex)];
+}
+
+std::uint64_t Process::loadBase(int dsoIndex) const {
+    if (dsoIndex < 0) {
+        // The executable is mapped at its link base.
+        return program_.executable().linkBase;
+    }
+    if (static_cast<std::size_t>(dsoIndex) >= dsoLoadBases_.size()) {
+        throw support::Error("loadBase: bad DSO index");
+    }
+    return dsoLoadBases_[static_cast<std::size_t>(dsoIndex)];
 }
 
 std::optional<xray::ObjectId> Process::xrayObjectId(int dsoIndex) const {
@@ -154,7 +170,7 @@ std::optional<xray::ObjectId> Process::xrayObjectId(int dsoIndex) const {
 }
 
 bool Process::dlcloseDso(std::size_t dsoIndex) {
-    if (dsoIndex >= program_.dsos.size() || !dsoLoaded_[dsoIndex]) {
+    if (dsoIndex >= program_.dsos().size() || !dsoLoaded_[dsoIndex]) {
         return false;
     }
     if (dsoObjectIds_[dsoIndex].has_value()) {
@@ -168,14 +184,14 @@ bool Process::dlcloseDso(std::size_t dsoIndex) {
 }
 
 bool Process::dlopenDso(std::size_t dsoIndex) {
-    if (dsoIndex >= program_.dsos.size() || dsoLoaded_[dsoIndex]) {
+    if (dsoIndex >= program_.dsos().size() || dsoLoaded_[dsoIndex]) {
         return false;
     }
-    const ObjectImage& dso = program_.dsos[dsoIndex];
+    const ObjectImage& dso = program_.dsos()[dsoIndex];
     dsoLoaded_[dsoIndex] = true;
     if (options_.registerDsos && dso.xrayInstrumented && !dso.sledTable.empty()) {
-        std::optional<xray::DsoHandle> handle =
-            xray::dsoRegister(*xray_, makeRegistration(dso));
+        std::optional<xray::DsoHandle> handle = xray::dsoRegister(
+            *xray_, makeRegistration(dso, dsoLoadBases_[dsoIndex]));
         if (handle.has_value()) {
             dsoObjectIds_[dsoIndex] = handle->objectId;
             std::vector<std::uint32_t>& table = localToModel_[handle->objectId];
@@ -209,10 +225,10 @@ std::optional<std::uint32_t> Process::modelIndexOf(xray::PackedId id) const {
 }
 
 std::size_t Process::totalSleds() const {
-    std::size_t total = program_.executable.sledTable.size();
-    for (std::size_t d = 0; d < program_.dsos.size(); ++d) {
+    std::size_t total = program_.executable().sledTable.size();
+    for (std::size_t d = 0; d < program_.dsos().size(); ++d) {
         if (dsoLoaded_[d]) {
-            total += program_.dsos[d].sledTable.size();
+            total += program_.dsos()[d].sledTable.size();
         }
     }
     return total;

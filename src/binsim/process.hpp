@@ -6,6 +6,13 @@
 // registers itself with the XRay runtime through the xray-dso library.
 // dlopen/dlclose of individual DSOs is supported to exercise the
 // registration/deregistration API.
+//
+// The compiled image is shared, never copied: every Process built from one
+// CompiledProgram reads the same immutable image (taking a Process by value
+// bumps a reference count, and a Process built from a temporary keeps that
+// image alive itself). What loading decides per process — each object's
+// load base, which DSOs are mapped, their XRay object ids, the patched code
+// memory — lives here, so two processes of one program are independent.
 #pragma once
 
 #include <memory>
@@ -57,6 +64,9 @@ public:
 
     /// Object image by DSO index; -1 = executable.
     const ObjectImage& objectImage(int dsoIndex) const;
+    /// Where this process mapped an object (DSO index; -1 = executable).
+    /// A closed DSO keeps its reserved base.
+    std::uint64_t loadBase(int dsoIndex) const;
 
     /// XRay object id of a loaded object; nullopt when not registered.
     std::optional<xray::ObjectId> xrayObjectId(int dsoIndex) const;
@@ -80,10 +90,12 @@ public:
 private:
     void registerObjects();
     void rebuildExecInfo();
-    xray::ObjectRegistration makeRegistration(const ObjectImage& image) const;
+    xray::ObjectRegistration makeRegistration(const ObjectImage& image,
+                                              std::uint64_t loadBase) const;
 
     CompiledProgram program_;
     ProcessOptions options_;
+    std::vector<std::uint64_t> dsoLoadBases_;
     std::unique_ptr<xray::CodeMemory> memory_;
     std::unique_ptr<xray::XRayRuntime> xray_;
     std::vector<std::optional<xray::ObjectId>> dsoObjectIds_;

@@ -19,6 +19,71 @@ namespace {
 /// fits between two selection runs.
 constexpr std::size_t kJournalCap = 1 << 16;
 
+/// The sighting merge rule shared by addFunction and Assembly::intern: the
+/// first definition supplies the metadata, `inlineSpecified` accumulates
+/// over definitions and `addressTaken` over every sighting.
+template <typename Desc>
+void mergeSighting(FunctionDesc& existing, Desc&& sighting) {
+    const bool addressTaken =
+        existing.flags.addressTaken || sighting.flags.addressTaken;
+    if (sighting.flags.hasBody && !existing.flags.hasBody) {
+        existing = std::forward<Desc>(sighting);
+    } else if (sighting.flags.hasBody) {
+        // Two definitions (inline functions in headers): keep the first.
+        existing.flags.inlineSpecified |= sighting.flags.inlineSpecified;
+    }
+    existing.flags.addressTaken = addressTaken;
+}
+
+/// Appends `pairs` to the rows they name (first -> forward row, second ->
+/// backward row), reserving each touched row by count, then sorts and
+/// de-duplicates the touched rows.
+void fillRelation(std::vector<CallGraph::Node>& nodes,
+                  const std::vector<std::pair<FunctionId, FunctionId>>& pairs,
+                  std::vector<FunctionId> CallGraph::Node::*forward,
+                  std::vector<FunctionId> CallGraph::Node::*backward) {
+    if (pairs.empty()) {
+        return;
+    }
+    std::vector<std::uint32_t> forwardCount(nodes.size(), 0);
+    std::vector<std::uint32_t> backwardCount(nodes.size(), 0);
+    for (const auto& [from, to] : pairs) {
+        if (from >= nodes.size() || to >= nodes.size()) {
+            throw support::Error("CallGraph::Assembly: pair (" +
+                                 std::to_string(from) + ", " +
+                                 std::to_string(to) + ") names an unknown id");
+        }
+        ++forwardCount[from];
+        ++backwardCount[to];
+    }
+    for (std::size_t id = 0; id < nodes.size(); ++id) {
+        if (forwardCount[id] != 0) {
+            std::vector<FunctionId>& row = nodes[id].*forward;
+            row.reserve(row.size() + forwardCount[id]);
+        }
+        if (backwardCount[id] != 0) {
+            std::vector<FunctionId>& row = nodes[id].*backward;
+            row.reserve(row.size() + backwardCount[id]);
+        }
+    }
+    for (const auto& [from, to] : pairs) {
+        (nodes[from].*forward).push_back(to);
+        (nodes[to].*backward).push_back(from);
+    }
+    auto sortUnique = [](std::vector<FunctionId>& row) {
+        std::sort(row.begin(), row.end());
+        row.erase(std::unique(row.begin(), row.end()), row.end());
+    };
+    for (std::size_t id = 0; id < nodes.size(); ++id) {
+        if (forwardCount[id] != 0) {
+            sortUnique(nodes[id].*forward);
+        }
+        if (backwardCount[id] != 0) {
+            sortUnique(nodes[id].*backward);
+        }
+    }
+}
+
 }  // namespace
 
 void CallGraph::throwRenameError(const std::string& name) {
@@ -226,20 +291,7 @@ FunctionId CallGraph::addFunction(const FunctionDesc& desc) {
     generation_ = nextGenerationStamp();
     auto it = byName_.find(desc.name);
     if (it != byName_.end()) {
-        Node& existing = nodes_[it->second];
-        // A definition sighting supplies the authoritative metadata; merge so
-        // declaration-only TUs do not erase what the defining TU recorded.
-        if (desc.flags.hasBody && !existing.desc.flags.hasBody) {
-            FunctionDesc merged = desc;
-            existing.desc = merged;
-        } else if (desc.flags.hasBody && existing.desc.flags.hasBody) {
-            // Two definitions (inline functions in headers): keep first, but
-            // accumulate flags that any sighting may set.
-            existing.desc.flags.inlineSpecified |= desc.flags.inlineSpecified;
-            existing.desc.flags.addressTaken |= desc.flags.addressTaken;
-        } else {
-            existing.desc.flags.addressTaken |= desc.flags.addressTaken;
-        }
+        mergeSighting(nodes_[it->second].desc, desc);
         // Any merge may rewrite flags/metrics; the name cannot change.
         journalAppend(DeltaKind::DescTouch, it->second);
         return it->second;
@@ -422,7 +474,7 @@ bool CallGraph::hasEdge(FunctionId caller, FunctionId callee) const {
 }
 
 FunctionId CallGraph::lookup(std::string_view name) const {
-    auto it = byName_.find(std::string(name));
+    auto it = byName_.find(name);
     return it == byName_.end() ? kInvalidFunction : it->second;
 }
 
@@ -447,6 +499,56 @@ std::vector<FunctionId> CallGraph::allIds() const {
         ids[i] = static_cast<FunctionId>(i);
     }
     return ids;
+}
+
+// ---------------------------------------------------------- Assembly ----
+
+CallGraph::Assembly::Assembly(std::size_t expectedNodes) {
+    graph_.nodes_.reserve(expectedNodes);
+    graph_.byName_.reserve(expectedNodes);
+}
+
+FunctionId CallGraph::Assembly::intern(FunctionDesc desc) {
+    auto [it, inserted] = graph_.byName_.try_emplace(
+        desc.name, static_cast<FunctionId>(graph_.nodes_.size()));
+    if (!inserted) {
+        mergeSighting(graph_.nodes_[it->second].desc, std::move(desc));
+        return it->second;
+    }
+    graph_.nodes_.push_back(Node{std::move(desc), {}, {}, {}, {}, true});
+    ++graph_.aliveCount_;
+    return it->second;
+}
+
+FunctionId CallGraph::Assembly::internDeclaration(std::string_view name) {
+    FunctionId id = graph_.lookup(name);
+    if (id != kInvalidFunction) {
+        return id;
+    }
+    FunctionDesc decl;
+    decl.name = name;
+    decl.prettyName = name;
+    return intern(std::move(decl));
+}
+
+std::size_t CallGraph::Assembly::fillRows() {
+    fillRelation(graph_.nodes_, pendingCalls_, &Node::callees, &Node::callers);
+    fillRelation(graph_.nodes_, pendingOverrides_, &Node::overriddenBy,
+                 &Node::overrides);
+    pendingCalls_.clear();
+    pendingOverrides_.clear();
+    return graph_.edgeCount();
+}
+
+CallGraph CallGraph::Assembly::finish() && {
+    fillRows();
+    // One stamp for the whole build and no history before it: deltaSince()
+    // answers from this revision on, exactly like a fresh copy.
+    graph_.generation_ = nextGenerationStamp();
+    graph_.journal_.clear();
+    graph_.journalFloor_ = graph_.generation_;
+    graph_.drainMark_ = graph_.generation_;
+    return std::move(graph_);
 }
 
 }  // namespace capi::cg

@@ -11,9 +11,17 @@
 // mutation is appended to a bounded typed journal (see cg/delta.hpp) that
 // downstream layers read through deltaSince()/drainDelta() to recompute only
 // what a runtime update actually touched.
+//
+// Whole graphs are built in bulk through CallGraph::Assembly: sightings are
+// interned into the graph's own name index, call and override pairs are
+// collected, and the sorted rows are filled once at the end. A bulk-built
+// graph carries one stamp and an empty journal (floor = drain mark = stamp),
+// the same lineage a copy starts with; runtime updates then use the
+// journaled per-edge API below.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -50,9 +58,15 @@ public:
     CallGraph(CallGraph&& other) noexcept;
     CallGraph& operator=(CallGraph&& other) noexcept;
 
+    class Assembly;
+
     /// Adds a node (or merges metadata into an existing node of the same
-    /// name) and returns its id. Merging keeps the definition's metadata:
-    /// a declaration-only sighting never downgrades `hasBody`.
+    /// name) and returns its id. Merging keeps the first definition's
+    /// metadata: a declaration-only sighting never downgrades `hasBody`,
+    /// `inlineSpecified` is the OR over definition sightings, and
+    /// `addressTaken` is the OR over every sighting, so the merged node does
+    /// not depend on how sightings are grouped or ordered after the first
+    /// definition.
     FunctionId addFunction(const FunctionDesc& desc);
 
     /// Adds caller->callee; no-op if the edge already exists.
@@ -223,8 +237,17 @@ private:
                        FunctionId b = kInvalidFunction);
     void releaseSnapshots() noexcept;
 
+    /// Transparent hash: lookup(std::string_view) probes without building a
+    /// std::string key.
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view name) const noexcept {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+
     std::vector<Node> nodes_;
-    std::unordered_map<std::string, FunctionId> byName_;
+    std::unordered_map<std::string, FunctionId, NameHash, std::equal_to<>> byName_;
     std::optional<FunctionId> entry_;
     std::size_t aliveCount_ = 0;
     std::uint64_t generation_ = nextGenerationStamp();
@@ -236,6 +259,54 @@ private:
     std::vector<DeltaRecord> journal_;
     std::uint64_t journalFloor_ = generation_;
     std::uint64_t drainMark_ = generation_;
+};
+
+/// Bulk construction of a whole graph, without a journal record or stamp
+/// per step. Nodes are interned as they arrive (same merge rule as
+/// addFunction); call and override pairs are collected in any order, with
+/// duplicates, and folded into the sorted unique rows by fillRows(): each
+/// touched row is reserved by count, appended to, then sorted and
+/// de-duplicated. finish() fills what is left and hands over the graph with
+/// one fresh stamp and an empty journal.
+class CallGraph::Assembly {
+public:
+    /// `expectedNodes` sizes the node array and the name index once.
+    explicit Assembly(std::size_t expectedNodes = 0);
+
+    /// Interns one sighting of a function; returns its id.
+    FunctionId intern(FunctionDesc desc);
+    /// The id of `name`, interning a bare declaration (name and pretty name
+    /// only) when the name is new.
+    FunctionId internDeclaration(std::string_view name);
+
+    FunctionId lookup(std::string_view name) const { return graph_.lookup(name); }
+    std::size_t size() const noexcept { return graph_.size(); }
+    const FunctionDesc& desc(FunctionId id) const { return graph_.desc(id); }
+
+    void addCallEdge(FunctionId caller, FunctionId callee) {
+        pendingCalls_.emplace_back(caller, callee);
+    }
+    void addOverride(FunctionId base, FunctionId derived) {
+        pendingOverrides_.emplace_back(base, derived);
+    }
+
+    /// Folds every pending pair into the rows and returns the number of
+    /// distinct call edges now present. Throws on an id out of range.
+    std::size_t fillRows();
+    /// Derived methods of `base` among the pairs filled so far.
+    const std::vector<FunctionId>& overriddenBy(FunctionId base) const {
+        return graph_.overriddenBy(base);
+    }
+
+    /// Fills the remaining pairs and returns the graph.
+    CallGraph finish() &&;
+
+private:
+    using IdPair = std::pair<FunctionId, FunctionId>;
+
+    CallGraph graph_;
+    std::vector<IdPair> pendingCalls_;
+    std::vector<IdPair> pendingOverrides_;
 };
 
 /// Inserts `value` into a sorted unique vector; returns false if present.

@@ -1,8 +1,9 @@
 #include "cg/metacg_builder.hpp"
 
-#include <deque>
+#include <string_view>
+#include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace capi::cg {
 
@@ -50,111 +51,171 @@ LocalCallGraph MetaCgBuilder::buildLocal(const TranslationUnit& unit) {
     return local;
 }
 
-CallGraph MetaCgBuilder::merge(const std::vector<LocalCallGraph>& locals,
-                               const std::vector<OverrideRelation>& overrides) {
-    stats_ = MergeStats{};
-    unresolved_.clear();
-    stats_.translationUnits = locals.size();
+namespace {
 
-    CallGraph whole;
+/// A call site whose targets are known only once every TU is in: the base
+/// method of a virtual call, or the signature of a function-pointer call.
+struct DeferredSite {
+    FunctionId caller;
+    std::string key;
+};
 
-    // Pass 1: union of nodes. addFunction() merges duplicate sightings,
-    // preferring definition metadata over declarations.
-    for (const LocalCallGraph& local : locals) {
-        for (FunctionId id = 0; id < local.graph.size(); ++id) {
-            whole.addFunction(local.graph.desc(id));
-        }
+/// Moves `value` out of an owned model, copies it out of a borrowed one.
+template <bool Owned, typename T>
+std::remove_const_t<T> take(T& value) {
+    if constexpr (Owned) {
+        return std::move(value);
+    } else {
+        return value;
     }
-
-    // Pass 2: direct edges.
-    for (const LocalCallGraph& local : locals) {
-        for (FunctionId id = 0; id < local.graph.size(); ++id) {
-            FunctionId caller = whole.lookup(local.graph.name(id));
-            for (FunctionId localCallee : local.graph.callees(id)) {
-                FunctionId callee = whole.lookup(local.graph.name(localCallee));
-                if (!whole.hasEdge(caller, callee)) {
-                    ++stats_.directEdges;
-                    whole.addCallEdge(caller, callee);
-                }
-            }
-        }
-    }
-
-    // Pass 3: class hierarchy.
-    for (const OverrideRelation& rel : overrides) {
-        FunctionId base = whole.lookup(rel.base);
-        FunctionId derived = whole.lookup(rel.derived);
-        if (base != kInvalidFunction && derived != kInvalidFunction) {
-            whole.addOverride(base, derived);
-        }
-    }
-
-    // Pass 4: virtual call sites. An edge is inserted to the static target
-    // and to every definition transitively overriding it. This
-    // over-approximation guarantees all possible call paths are represented
-    // (paper, Sec. III-A).
-    for (const LocalCallGraph& local : locals) {
-        for (const LocalCallGraph::PendingCall& pending : local.pendingVirtual) {
-            FunctionId caller = whole.lookup(pending.caller);
-            FunctionId base = whole.lookup(pending.site.target);
-            if (caller == kInvalidFunction || base == kInvalidFunction) {
-                continue;
-            }
-            std::deque<FunctionId> queue{base};
-            std::unordered_set<FunctionId> seen{base};
-            while (!queue.empty()) {
-                FunctionId target = queue.front();
-                queue.pop_front();
-                if (!whole.hasEdge(caller, target)) {
-                    whole.addCallEdge(caller, target);
-                    ++stats_.virtualEdges;
-                }
-                for (FunctionId derived : whole.overriddenBy(target)) {
-                    if (seen.insert(derived).second) {
-                        queue.push_back(derived);
-                    }
-                }
-            }
-        }
-    }
-
-    // Pass 5: function-pointer call sites. Candidates are address-taken
-    // functions whose signature group matches. A unique candidate resolves
-    // statically; ambiguous or empty candidate sets are reported so the
-    // profile-validation utility can insert the missing edges later.
-    std::unordered_map<std::string, std::vector<FunctionId>> bySignature;
-    for (FunctionId id = 0; id < whole.size(); ++id) {
-        const FunctionDesc& desc = whole.desc(id);
-        if (desc.flags.addressTaken && !desc.signature.empty()) {
-            bySignature[desc.signature].push_back(id);
-        }
-    }
-    for (const LocalCallGraph& local : locals) {
-        for (const LocalCallGraph::PendingCall& pending : local.pendingPointer) {
-            FunctionId caller = whole.lookup(pending.caller);
-            auto it = bySignature.find(pending.site.signature);
-            if (caller != kInvalidFunction && it != bySignature.end() &&
-                it->second.size() == 1) {
-                whole.addCallEdge(caller, it->second.front());
-                ++stats_.pointerEdgesResolved;
-            } else {
-                ++stats_.pointerSitesUnresolved;
-                unresolved_.push_back({pending.caller, pending.site.signature});
-            }
-        }
-    }
-
-    stats_.totalNodes = whole.size();
-    return whole;
 }
 
-CallGraph MetaCgBuilder::build(const SourceModel& model) {
-    std::vector<LocalCallGraph> locals;
-    locals.reserve(model.units.size());
+/// Streams `model` TU by TU into one assembly (see the header comment).
+/// `Model` is SourceModel when the caller hands it over, const SourceModel
+/// when it is borrowed.
+template <typename Model>
+CallGraph buildStreaming(Model& model, MergeStats& stats,
+                         std::vector<UnresolvedPointerCall>& unresolved) {
+    constexpr bool kOwned = !std::is_const_v<Model>;
+    stats = MergeStats{};
+    unresolved.clear();
+    stats.translationUnits = model.units.size();
+
+    std::size_t sightings = 0;
     for (const TranslationUnit& unit : model.units) {
-        locals.push_back(buildLocal(unit));
+        sightings += unit.functions.size();
     }
-    return merge(locals, model.overrides);
+    CallGraph::Assembly assembly(sightings);
+    std::vector<DeferredSite> virtualSites;
+    std::vector<DeferredSite> pointerSites;
+    // Per function of the current TU: its node id when this sighting is a
+    // definition (whose call sites count), kInvalidFunction otherwise.
+    std::vector<FunctionId> definedAs;
+
+    for (auto& unit : model.units) {
+        // Local step, part 1: every sighting of the TU, in order.
+        definedAs.assign(unit.functions.size(), kInvalidFunction);
+        for (std::size_t i = 0; i < unit.functions.size(); ++i) {
+            FunctionDesc desc = take<kOwned>(unit.functions[i].desc);
+            const bool hasBody = desc.flags.hasBody;
+            if (desc.translationUnit.empty() && hasBody) {
+                desc.translationUnit = unit.name;
+            }
+            const FunctionId id = assembly.intern(std::move(desc));
+            if (hasBody) {
+                definedAs[i] = id;
+            }
+        }
+        // Part 2: the call sites of each definition. A direct callee the
+        // program has not seen yet becomes a declaration node here, after
+        // the TU's own sightings, as in the TU's standalone local graph.
+        for (std::size_t i = 0; i < unit.functions.size(); ++i) {
+            const FunctionId caller = definedAs[i];
+            if (caller == kInvalidFunction) {
+                continue;
+            }
+            for (auto& site : unit.functions[i].callSites) {
+                switch (site.kind) {
+                    case CallSite::Kind::Direct:
+                        assembly.addCallEdge(
+                            caller, assembly.internDeclaration(site.target));
+                        break;
+                    case CallSite::Kind::Virtual:
+                        virtualSites.push_back({caller, take<kOwned>(site.target)});
+                        break;
+                    case CallSite::Kind::FunctionPointer:
+                        pointerSites.push_back(
+                            {caller, take<kOwned>(site.signature)});
+                        break;
+                }
+            }
+        }
+        if constexpr (kOwned) {
+            std::vector<SourceFunction>().swap(unit.functions);
+        }
+    }
+
+    // Whole-program step: the class hierarchy, then the direct edges are
+    // filled and counted.
+    for (const OverrideRelation& rel : model.overrides) {
+        const FunctionId base = assembly.lookup(rel.base);
+        const FunctionId derived = assembly.lookup(rel.derived);
+        if (base != kInvalidFunction && derived != kInvalidFunction) {
+            assembly.addOverride(base, derived);
+        }
+    }
+    stats.directEdges = assembly.fillRows();
+
+    // Virtual call sites: an edge to the static target and to every
+    // definition transitively overriding it. This over-approximation
+    // guarantees all possible call paths are represented (paper,
+    // Sec. III-A).
+    std::vector<std::uint32_t> seenAt(assembly.size(), 0);
+    std::uint32_t visit = 0;
+    std::vector<FunctionId> queue;
+    for (const DeferredSite& site : virtualSites) {
+        const FunctionId base = assembly.lookup(site.key);
+        if (base == kInvalidFunction) {
+            continue;
+        }
+        ++visit;
+        queue.assign(1, base);
+        seenAt[base] = visit;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            const FunctionId target = queue[head];
+            assembly.addCallEdge(site.caller, target);
+            for (FunctionId derived : assembly.overriddenBy(target)) {
+                if (seenAt[derived] != visit) {
+                    seenAt[derived] = visit;
+                    queue.push_back(derived);
+                }
+            }
+        }
+    }
+    stats.virtualEdges = assembly.fillRows() - stats.directEdges;
+
+    // Function-pointer call sites. Candidates are address-taken functions
+    // whose signature group matches. A unique candidate resolves statically;
+    // ambiguous or empty candidate sets are reported so the
+    // profile-validation utility can insert the missing edges later.
+    struct Candidates {
+        FunctionId first = kInvalidFunction;
+        std::size_t count = 0;
+    };
+    std::unordered_map<std::string_view, Candidates> bySignature;
+    for (FunctionId id = 0; id < assembly.size(); ++id) {
+        const FunctionDesc& desc = assembly.desc(id);
+        if (desc.flags.addressTaken && !desc.signature.empty()) {
+            Candidates& group = bySignature[desc.signature];
+            if (group.count++ == 0) {
+                group.first = id;
+            }
+        }
+    }
+    for (DeferredSite& site : pointerSites) {
+        auto it = bySignature.find(site.key);
+        if (it != bySignature.end() && it->second.count == 1) {
+            assembly.addCallEdge(site.caller, it->second.first);
+            ++stats.pointerEdgesResolved;
+        } else {
+            ++stats.pointerSitesUnresolved;
+            unresolved.push_back(
+                {assembly.desc(site.caller).name, std::move(site.key)});
+        }
+    }
+
+    stats.totalNodes = assembly.size();
+    return std::move(assembly).finish();
+}
+
+}  // namespace
+
+CallGraph MetaCgBuilder::build(const SourceModel& model) {
+    return buildStreaming(model, stats_, unresolved_);
+}
+
+CallGraph MetaCgBuilder::build(SourceModel&& model) {
+    return buildStreaming(model, stats_, unresolved_);
 }
 
 }  // namespace capi::cg

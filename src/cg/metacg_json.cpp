@@ -87,7 +87,7 @@ CallGraph fromMetaCgJson(const Json& doc) {
         throw support::Error("MetaCG: missing _CG section");
     }
 
-    CallGraph graph;
+    CallGraph::Assembly assembly(cgObj->asObject().size());
 
     // Pass 1: nodes with metadata.
     for (const auto& [name, fn] : cgObj->asObject()) {
@@ -123,32 +123,32 @@ CallGraph fromMetaCgJson(const Json& doc) {
         if (desc.prettyName.empty()) {
             desc.prettyName = name;
         }
-        graph.addFunction(desc);
+        assembly.intern(std::move(desc));
     }
 
     // Pass 2: edges and override relations.
     for (const auto& [name, fn] : cgObj->asObject()) {
-        FunctionId caller = graph.lookup(name);
+        FunctionId caller = assembly.lookup(name);
         if (const Json* callees = fn.find("callees")) {
             for (const Json& calleeName : callees->asArray()) {
-                FunctionId callee = graph.lookup(calleeName.asString());
+                FunctionId callee = assembly.lookup(calleeName.asString());
                 if (callee == kInvalidFunction) {
                     throw support::Error("MetaCG: edge to unknown function '" +
                                          calleeName.asString() + "'");
                 }
-                graph.addCallEdge(caller, callee);
+                assembly.addCallEdge(caller, callee);
             }
         }
         if (const Json* overrides = fn.find("overrides")) {
             for (const Json& baseName : overrides->asArray()) {
-                FunctionId base = graph.lookup(baseName.asString());
+                FunctionId base = assembly.lookup(baseName.asString());
                 if (base != kInvalidFunction) {
-                    graph.addOverride(base, caller);
+                    assembly.addOverride(base, caller);
                 }
             }
         }
     }
-    return graph;
+    return std::move(assembly).finish();
 }
 
 void writeMetaCgFile(const CallGraph& graph, const std::string& path) {

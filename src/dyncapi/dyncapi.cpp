@@ -123,18 +123,24 @@ void DynCapi::resolveAllObjects() {
     const binsim::CompiledProgram& program = process_->program();
 
     // Candidate objects: the executable plus every DSO; find their XRay
-    // object ids from the process (registration order).
-    std::vector<std::pair<xray::ObjectId, const binsim::ObjectImage*>> objects;
-    objects.emplace_back(xray::kMainExecutableObjectId, &program.executable);
-    for (std::size_t d = 0; d < program.dsos.size(); ++d) {
-        std::optional<xray::ObjectId> id =
-            process_->xrayObjectId(static_cast<int>(d));
+    // object ids and load bases from the process (registration order).
+    struct Candidate {
+        xray::ObjectId objectId;
+        const binsim::ObjectImage* image;
+        std::uint64_t loadBase;
+    };
+    std::vector<Candidate> objects;
+    objects.push_back({xray::kMainExecutableObjectId, &program.executable(),
+                       process_->loadBase(-1)});
+    for (std::size_t d = 0; d < program.dsos().size(); ++d) {
+        const int dso = static_cast<int>(d);
+        std::optional<xray::ObjectId> id = process_->xrayObjectId(dso);
         if (id.has_value() && xr.objectRegistered(*id)) {
-            objects.emplace_back(*id, &program.dsos[d]);
+            objects.push_back({*id, &program.dsos()[d], process_->loadBase(dso)});
         }
     }
 
-    for (const auto& [objectId, image] : objects) {
+    for (const auto& [objectId, image, loadBase] : objects) {
         ++objectsScanned_;
         std::uint32_t functions = xr.functionCount(objectId);
         addressByObject_[objectId].assign(functions, 0);
@@ -143,7 +149,7 @@ void DynCapi::resolveAllObjects() {
         // nm dump translated by load base: runtime address -> symbol name.
         std::unordered_map<std::uint64_t, const binsim::NmEntry*> byAddress;
         std::vector<binsim::NmEntry> symbols = binsim::nmDump(*image);
-        std::uint64_t delta = image->loadBase - image->linkBase;
+        std::uint64_t delta = loadBase - image->linkBase;
         byAddress.reserve(symbols.size());
         for (const binsim::NmEntry& symbol : symbols) {
             byAddress.emplace(symbol.address + delta, &symbol);

@@ -17,8 +17,8 @@ namespace capi::dyncapi {
 class ProcessSymbolOracle final : public select::SymbolOracle {
 public:
     explicit ProcessSymbolOracle(const binsim::CompiledProgram& program) {
-        addObject(program.executable);
-        for (const binsim::ObjectImage& dso : program.dsos) {
+        addObject(program.executable());
+        for (const binsim::ObjectImage& dso : program.dsos()) {
             addObject(dso);
         }
     }

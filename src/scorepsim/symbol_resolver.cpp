@@ -9,18 +9,17 @@ SymbolResolver SymbolResolver::fromExecutable(const binsim::ObjectImage& executa
     // The executable is mapped at its link base, so nm addresses are process
     // addresses already.
     for (const binsim::NmEntry& symbol : binsim::nmDump(executable)) {
-        std::uint64_t delta = executable.loadBase - executable.linkBase;
         resolver.addEntry(
-            {symbol.address + delta, symbol.address + delta + symbol.size,
-             symbol.name});
+            {symbol.address, symbol.address + symbol.size, symbol.name});
     }
     resolver.sortEntries();
     return resolver;
 }
 
-std::size_t SymbolResolver::injectObject(const binsim::ObjectImage& object) {
+std::size_t SymbolResolver::injectObject(const binsim::ObjectImage& object,
+                                         std::uint64_t loadBase) {
     std::size_t injected = 0;
-    std::uint64_t delta = object.loadBase - object.linkBase;
+    std::uint64_t delta = loadBase - object.linkBase;
     for (const binsim::NmEntry& symbol : binsim::nmDump(object)) {
         addEntry({symbol.address + delta, symbol.address + delta + symbol.size,
                   symbol.name});
@@ -31,18 +30,19 @@ std::size_t SymbolResolver::injectObject(const binsim::ObjectImage& object) {
 }
 
 SymbolResolver SymbolResolver::withSymbolInjection(const binsim::Process& process) {
-    SymbolResolver resolver =
-        fromExecutable(process.program().executable);
+    const binsim::CompiledProgram& program = process.program();
+    SymbolResolver resolver = fromExecutable(program.executable());
     // Walk the memory map (the /proc/self/maps analogue) and inject every
     // mapped shared object.
     for (const binsim::MapEntry& map : process.memoryMap()) {
         if (map.isMainExecutable) {
             continue;
         }
-        for (std::size_t d = 0; d < process.program().dsos.size(); ++d) {
-            const binsim::ObjectImage& dso = process.program().dsos[d];
-            if (dso.name == map.object && dso.loadBase == map.loadBase) {
-                resolver.injectObject(dso);
+        for (std::size_t d = 0; d < program.dsos().size(); ++d) {
+            const binsim::ObjectImage& dso = program.dsos()[d];
+            if (dso.name == map.object &&
+                process.loadBase(static_cast<int>(d)) == map.loadBase) {
+                resolver.injectObject(dso, map.loadBase);
             }
         }
     }

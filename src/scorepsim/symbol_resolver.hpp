@@ -26,9 +26,10 @@ public:
     /// Score-P's default: symbols of the main executable only.
     static SymbolResolver fromExecutable(const binsim::ObjectImage& executable);
 
-    /// Symbol injection: translate one DSO's nm dump by its load base and add
-    /// the result. Returns the number of symbols injected.
-    std::size_t injectObject(const binsim::ObjectImage& object);
+    /// Symbol injection: translate one DSO's nm dump by the base it is
+    /// loaded at and add the result. Returns the number of symbols injected.
+    std::size_t injectObject(const binsim::ObjectImage& object,
+                             std::uint64_t loadBase);
 
     /// Injects every DSO found in the process memory map.
     static SymbolResolver withSymbolInjection(const binsim::Process& process);

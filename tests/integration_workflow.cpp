@@ -123,7 +123,7 @@ TEST(Integration, RefinementLoopWithoutRecompilation) {
     }
     // Four refinements by re-patching must be far cheaper than even one
     // static-instrumentation rebuild.
-    EXPECT_LT(repatchSeconds, bench.compiled.fullRebuildSeconds);
+    EXPECT_LT(repatchSeconds, bench.compiled.fullRebuildSeconds());
 }
 
 TEST(Integration, MetaCgJsonRoundTripPreservesSelection) {

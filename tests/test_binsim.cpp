@@ -2,6 +2,8 @@
 // sleds, symbols), the loader/process, nm, and the execution engine.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "binsim/app_model.hpp"
 #include "binsim/compiler.hpp"
 #include "binsim/execution_engine.hpp"
@@ -104,16 +106,16 @@ TEST(AppModel, IndexOfThrowsOnUnknown) {
 
 TEST(Compiler, InliningDecisions) {
     CompiledProgram program = compile(smallModel(), testCompileOptions());
-    const AppModel& m = program.model;
-    EXPECT_FALSE(program.inlinedAway[m.indexOf("main")]);
-    EXPECT_FALSE(program.inlinedAway[m.indexOf("kernel")]);
-    EXPECT_TRUE(program.inlinedAway[m.indexOf("tiny")]);    // small static
-    EXPECT_TRUE(program.inlinedAway[m.indexOf("marked")]);  // inline keyword
+    const AppModel& m = program.model();
+    EXPECT_FALSE(program.inlinedAway()[m.indexOf("main")]);
+    EXPECT_FALSE(program.inlinedAway()[m.indexOf("kernel")]);
+    EXPECT_TRUE(program.inlinedAway()[m.indexOf("tiny")]);    // small static
+    EXPECT_TRUE(program.inlinedAway()[m.indexOf("marked")]);  // inline keyword
 }
 
 TEST(Compiler, InlinedFunctionsHaveNoSymbolByDefault) {
     CompiledProgram program = compile(smallModel(), testCompileOptions());
-    std::vector<NmEntry> symbols = nmDump(program.executable);
+    std::vector<NmEntry> symbols = nmDump(program.executable());
     auto find = [&](const std::string& name) {
         for (const NmEntry& s : symbols) {
             if (s.name == name) return true;
@@ -130,7 +132,7 @@ TEST(Compiler, RetainedInlineSymbolPeriod) {
     CompileOptions options = testCompileOptions();
     options.retainedInlineSymbolPeriod = 2;  // every 2nd inlined keeps a symbol
     CompiledProgram program = compile(smallModel(), options);
-    std::vector<NmEntry> symbols = nmDump(program.executable);
+    std::vector<NmEntry> symbols = nmDump(program.executable());
     std::size_t retained = 0;
     for (const NmEntry& s : symbols) {
         if (s.name == "tiny" || s.name == "marked") ++retained;
@@ -142,7 +144,7 @@ TEST(Compiler, SledsFollowThreshold) {
     CompileOptions options = testCompileOptions();
     options.xrayThreshold.instructionThreshold = 250;
     CompiledProgram program = compile(smallModel(), options);
-    const AppModel& m = program.model;
+    const AppModel& m = program.model();
     // kernel: 400 instructions -> sleds. driver: 80, no loop -> no sleds.
     // libfn: 300 -> sleds (in DSO 0). hiddenFn: 250 -> sleds.
     EXPECT_TRUE(program.compiledOf(m.indexOf("kernel"))->hasSleds);
@@ -150,20 +152,20 @@ TEST(Compiler, SledsFollowThreshold) {
     EXPECT_TRUE(program.compiledOf(m.indexOf("libfn"))->hasSleds);
     // Local IDs are dense over sledded functions only: with a threshold of
     // 250 and no loop, main (100 instr) is skipped too, leaving kernel alone.
-    EXPECT_EQ(program.executable.sledTable.functionCount(), 1u);
+    EXPECT_EQ(program.executable().sledTable.functionCount(), 1u);
 }
 
 TEST(Compiler, VanillaBuildHasNoSleds) {
     CompileOptions options = testCompileOptions();
     options.xrayInstrument = false;
     CompiledProgram program = compile(smallModel(), options);
-    EXPECT_TRUE(program.executable.sledTable.empty());
-    EXPECT_TRUE(program.dsos[0].sledTable.empty());
+    EXPECT_TRUE(program.executable().sledTable.empty());
+    EXPECT_TRUE(program.dsos()[0].sledTable.empty());
 }
 
 TEST(Compiler, HiddenSymbolsStayInImageButNotInNm) {
     CompiledProgram program = compile(smallModel(), testCompileOptions());
-    const ObjectImage& libwork = program.dsos[0];
+    const ObjectImage& libwork = program.dsos()[0];
     EXPECT_EQ(hiddenSymbolCount(libwork), 1u);
     for (const NmEntry& s : nmDump(libwork)) {
         EXPECT_NE(s.name, "hiddenFn");
@@ -174,16 +176,16 @@ TEST(Compiler, RebuildCostScalesWithUnits) {
     CompileOptions options = testCompileOptions();
     options.secondsPerTranslationUnit = 2.0;
     CompiledProgram program = compile(smallModel(), options);
-    EXPECT_DOUBLE_EQ(program.fullRebuildSeconds, 16.0);  // 8 units x 2s
+    EXPECT_DOUBLE_EQ(program.fullRebuildSeconds(), 16.0);  // 8 units x 2s
 }
 
 TEST(Compiler, FunctionsPartitionedIntoObjects) {
     CompiledProgram program = compile(smallModel(), testCompileOptions());
-    EXPECT_EQ(program.dsos.size(), 2u);
-    const AppModel& m = program.model;
-    EXPECT_EQ(program.objectOf(m.indexOf("libfn")), &program.dsos[0]);
-    EXPECT_EQ(program.objectOf(m.indexOf("aux")), &program.dsos[1]);
-    EXPECT_EQ(program.objectOf(m.indexOf("main")), &program.executable);
+    EXPECT_EQ(program.dsos().size(), 2u);
+    const AppModel& m = program.model();
+    EXPECT_EQ(program.objectOf(m.indexOf("libfn")), &program.dsos()[0]);
+    EXPECT_EQ(program.objectOf(m.indexOf("aux")), &program.dsos()[1]);
+    EXPECT_EQ(program.objectOf(m.indexOf("main")), &program.executable());
     EXPECT_EQ(program.objectOf(m.indexOf("tiny")), nullptr);  // inlined away
 }
 
@@ -202,7 +204,7 @@ TEST(Process, LoaderRelocatesDsosAndRegistersThem) {
 
 TEST(Process, PackedIdRoundTrip) {
     Process process(compile(smallModel(), testCompileOptions()));
-    std::uint32_t libfn = process.program().model.indexOf("libfn");
+    std::uint32_t libfn = process.program().model().indexOf("libfn");
     auto pid = process.packedIdOf(libfn);
     ASSERT_TRUE(pid.has_value());
     EXPECT_EQ(xray::objectIdOf(*pid), 1u);  // first registered DSO
@@ -214,12 +216,12 @@ TEST(Process, PackedIdRoundTrip) {
 TEST(Process, InlinedFunctionHasNoPackedId) {
     Process process(compile(smallModel(), testCompileOptions()));
     EXPECT_FALSE(
-        process.packedIdOf(process.program().model.indexOf("tiny")).has_value());
+        process.packedIdOf(process.program().model().indexOf("tiny")).has_value());
 }
 
 TEST(Process, DlcloseUnregistersAndDlopenRestores) {
     Process process(compile(smallModel(), testCompileOptions()));
-    std::uint32_t libfn = process.program().model.indexOf("libfn");
+    std::uint32_t libfn = process.program().model().indexOf("libfn");
     ASSERT_TRUE(process.packedIdOf(libfn).has_value());
 
     EXPECT_TRUE(process.dlcloseDso(0));
@@ -230,6 +232,64 @@ TEST(Process, DlcloseUnregistersAndDlopenRestores) {
     EXPECT_TRUE(process.dlopenDso(0));
     EXPECT_TRUE(process.packedIdOf(libfn).has_value());
     EXPECT_EQ(process.xray().registeredObjectCount(), 3u);
+}
+
+TEST(Process, ProcessesOfOneProgramShareTheImageButNotTheirState) {
+    const CompiledProgram program = compile(smallModel(), testCompileOptions());
+    Process first(program);
+    Process second(program);
+
+    // One image, read by both: no copy of the model or the object images.
+    EXPECT_EQ(&first.program().model(), &program.model());
+    EXPECT_EQ(&second.program().executable(), &program.executable());
+    EXPECT_EQ(&first.objectImage(0), &second.objectImage(0));
+    EXPECT_EQ(first.loadBase(0), second.loadBase(0));
+    EXPECT_EQ(first.loadBase(-1), program.executable().linkBase);
+
+    // Patch state is per process.
+    const std::uint32_t kernel = program.model().indexOf("kernel");
+    ASSERT_TRUE(first.xray().patchFunction(*first.packedIdOf(kernel)));
+    EXPECT_EQ(ExecutionEngine(first).run().sledHits, 12u);
+    EXPECT_EQ(ExecutionEngine(second).run().sledHits, 0u);
+
+    // Load state too: closing a DSO in one leaves the other's mapping,
+    // registration and packed ids alone, and reopening restores the base.
+    const std::uint32_t libfn = program.model().indexOf("libfn");
+    const std::uint64_t base = first.loadBase(0);
+    ASSERT_TRUE(first.dlcloseDso(0));
+    EXPECT_FALSE(first.packedIdOf(libfn).has_value());
+    EXPECT_EQ(first.memoryMap().size(), 2u);
+    EXPECT_TRUE(second.packedIdOf(libfn).has_value());
+    EXPECT_EQ(second.memoryMap().size(), 3u);
+    EXPECT_EQ(second.xray().registeredObjectCount(), 3u);
+    ASSERT_TRUE(first.dlopenDso(0));
+    EXPECT_EQ(first.loadBase(0), base);
+    EXPECT_EQ(first.memoryMap()[1].loadBase, base);
+    EXPECT_EQ(first.packedIdOf(libfn), second.packedIdOf(libfn));
+}
+
+TEST(Process, ProcessBuiltFromATemporaryKeepsItsImageAlive) {
+    std::optional<Process> process;
+    process.emplace(compile(smallModel(), testCompileOptions()));
+    // The temporary CompiledProgram is gone; the process holds the image.
+    const std::uint32_t kernel = process->program().model().indexOf("kernel");
+    ASSERT_TRUE(process->xray().patchFunction(*process->packedIdOf(kernel)));
+    EXPECT_EQ(ExecutionEngine(*process).run().sledHits, 12u);
+
+    // A copy taken from the process shares that image and outlives it.
+    CompiledProgram copy = process->program();
+    const ObjectImage* exe = &copy.executable();
+    process.reset();
+    Process again(copy);
+    EXPECT_EQ(&again.program().executable(), exe);
+    EXPECT_EQ(ExecutionEngine(again).run().dynamicCalls, 71u);
+}
+
+TEST(Process, DefaultProgramIsEmpty) {
+    const CompiledProgram program;
+    EXPECT_TRUE(program.model().functions.empty());
+    EXPECT_TRUE(program.dsos().empty());
+    EXPECT_EQ(program.objectOf(0), nullptr);
 }
 
 // ------------------------------------------------------- execution engine --
@@ -245,7 +305,7 @@ TEST(Engine, ExecutesFullDynamicCallTree) {
 
 TEST(Engine, PatchedFunctionsFireEntryAndExit) {
     Process process(compile(smallModel(), testCompileOptions()));
-    std::uint32_t kernel = process.program().model.indexOf("kernel");
+    std::uint32_t kernel = process.program().model().indexOf("kernel");
     process.xray().patchFunction(*process.packedIdOf(kernel));
 
     ExecutionEngine engine(process);

@@ -291,7 +291,7 @@ TEST(Concurrency, CygAdapterRacingFirstSightings) {
     std::vector<std::uint64_t> resolvable;
     for (int i = 0; i < kFunctions; ++i) {
         std::uint32_t fn =
-            process.program().model.indexOf("fn_" + std::to_string(i));
+            process.program().model().indexOf("fn_" + std::to_string(i));
         resolvable.push_back(process.execInfo()[fn].entryAddress);
     }
     std::vector<std::uint64_t> bogus;

@@ -129,7 +129,7 @@ TEST(DynCapi, StaticIdExtensionReachesHiddenSymbols) {
     // Determine the hidden function's packed id via the process (the
     // offline path that would compute static IDs at selection time).
     std::uint32_t hidden =
-        process.program().model.indexOf("_GLOBAL__sub_I_solve");
+        process.program().model().indexOf("_GLOBAL__sub_I_solve");
     auto pid = process.packedIdOf(hidden);
     ASSERT_TRUE(pid.has_value());
 

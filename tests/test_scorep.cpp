@@ -329,10 +329,10 @@ binsim::CompiledProgram dsoProgram() {
 TEST(SymbolResolver, ExecutableOnlyCannotResolveDsoAddresses) {
     binsim::Process process(dsoProgram());
     SymbolResolver resolver = SymbolResolver::fromExecutable(
-        process.program().executable);
+        process.program().executable());
 
-    std::uint32_t exeFn = process.program().model.indexOf("exeFn");
-    std::uint32_t dsoFn = process.program().model.indexOf("dsoFn");
+    std::uint32_t exeFn = process.program().model().indexOf("exeFn");
+    std::uint32_t dsoFn = process.program().model().indexOf("dsoFn");
     std::uint64_t exeAddr = process.execInfo()[exeFn].entryAddress;
     std::uint64_t dsoAddr = process.execInfo()[dsoFn].entryAddress;
 
@@ -343,12 +343,12 @@ TEST(SymbolResolver, ExecutableOnlyCannotResolveDsoAddresses) {
 TEST(SymbolResolver, SymbolInjectionCoversDsos) {
     binsim::Process process(dsoProgram());
     SymbolResolver resolver = SymbolResolver::withSymbolInjection(process);
-    std::uint32_t dsoFn = process.program().model.indexOf("dsoFn");
+    std::uint32_t dsoFn = process.program().model().indexOf("dsoFn");
     std::uint64_t dsoAddr = process.execInfo()[dsoFn].entryAddress;
     EXPECT_EQ(resolver.resolve(dsoAddr).value_or(""), "dsoFn");
 
     // Hidden symbols stay unresolvable even with injection (nm can't see them).
-    std::uint32_t hiddenFn = process.program().model.indexOf("hiddenFn");
+    std::uint32_t hiddenFn = process.program().model().indexOf("hiddenFn");
     std::uint64_t hiddenAddr = process.execInfo()[hiddenFn].entryAddress;
     EXPECT_FALSE(resolver.resolve(hiddenAddr).has_value());
 }
@@ -356,8 +356,8 @@ TEST(SymbolResolver, SymbolInjectionCoversDsos) {
 TEST(SymbolResolver, ResolvesInteriorAddresses) {
     binsim::Process process(dsoProgram());
     SymbolResolver resolver =
-        SymbolResolver::fromExecutable(process.program().executable);
-    std::uint32_t exeFn = process.program().model.indexOf("exeFn");
+        SymbolResolver::fromExecutable(process.program().executable());
+    std::uint32_t exeFn = process.program().model().indexOf("exeFn");
     std::uint64_t addr = process.execInfo()[exeFn].entryAddress;
     EXPECT_EQ(resolver.resolve(addr + 16).value_or(""), "exeFn");
     EXPECT_FALSE(resolver.resolve(3).has_value());
@@ -369,7 +369,7 @@ TEST(CygAdapter, ResolvesAndRecords) {
     binsim::Process process(dsoProgram());
     Measurement m;
     CygProfileAdapter adapter(m, SymbolResolver::withSymbolInjection(process));
-    std::uint32_t exeFn = process.program().model.indexOf("exeFn");
+    std::uint32_t exeFn = process.program().model().indexOf("exeFn");
     std::uint64_t addr = process.execInfo()[exeFn].entryAddress;
     adapter.funcEnter(addr, 0);
     adapter.funcExit(addr, 0);
@@ -383,8 +383,8 @@ TEST(CygAdapter, DropsUnresolvableDsoEvents) {
     Measurement m;
     // Executable-only resolver: DSO events must be dropped, not crash.
     CygProfileAdapter adapter(
-        m, SymbolResolver::fromExecutable(process.program().executable));
-    std::uint32_t dsoFn = process.program().model.indexOf("dsoFn");
+        m, SymbolResolver::fromExecutable(process.program().executable()));
+    std::uint32_t dsoFn = process.program().model().indexOf("dsoFn");
     std::uint64_t addr = process.execInfo()[dsoFn].entryAddress;
     adapter.funcEnter(addr, 0);
     adapter.funcExit(addr, 0);

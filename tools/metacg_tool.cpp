@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
                     ++count;
                 }
             };
-            dump(compiled.executable);
-            for (const capi::binsim::ObjectImage& dso : compiled.dsos) {
+            dump(compiled.executable());
+            for (const capi::binsim::ObjectImage& dso : compiled.dsos()) {
                 dump(dso);
             }
             std::printf("metacg: %zu symbols -> %s\n", count, symbolsPath.c_str());
