@@ -1,8 +1,10 @@
 // Micro-benchmarks of the MetaCG substrate: the streaming whole-program
 // build, JSON (de)serialization throughput, Node-vs-CSR adjacency traversal
 // (the data-layout win every selector rides on), and Tinit over a shared
-// compiled image.
+// compiled image, whole and by rung.
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "apps/lulesh.hpp"
 #include "apps/openfoam.hpp"
@@ -65,6 +67,62 @@ void BM_ProcessTinit(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ProcessTinit)->Arg(10000)->Arg(50000);
+
+// Tinit by rung, on one shared compiled image: loading the process (XRay
+// registration, sled index, execution facts), DynCapi's name resolution, and
+// applying a fixed IC to a freshly loaded process.
+binsim::CompiledProgram tinitProgram(std::uint32_t nodes) {
+    binsim::CompileOptions options;
+    options.xrayThreshold.instructionThreshold = 1;
+    return binsim::compile(modelOfSize(nodes), options);
+}
+
+void BM_TinitProcess(benchmark::State& state) {
+    const binsim::CompiledProgram compiled =
+        tinitProgram(static_cast<std::uint32_t>(state.range(0)));
+    for (auto _ : state) {
+        binsim::Process process(compiled);
+        benchmark::DoNotOptimize(process.execInfo().data());
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TinitProcess)->Arg(10000);
+
+void BM_TinitResolve(benchmark::State& state) {
+    binsim::Process process(tinitProgram(static_cast<std::uint32_t>(state.range(0))));
+    for (auto _ : state) {
+        dyncapi::DynCapi dyn(process);
+        benchmark::DoNotOptimize(dyn.sleddedFunctionCount());
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TinitResolve)->Arg(10000);
+
+void BM_TinitApply(benchmark::State& state) {
+    const binsim::CompiledProgram compiled =
+        tinitProgram(static_cast<std::uint32_t>(state.range(0)));
+    // Every 8th model function: a spread-out IC touching most code pages.
+    select::InstrumentationConfig ic;
+    const std::vector<binsim::AppFunction>& functions = compiled.model().functions;
+    for (std::size_t i = 0; i < functions.size(); i += 8) {
+        ic.addFunction(functions[i].name);
+    }
+    const select::InstrumentationPolicy policy = select::InstrumentationPolicy::fullOf(ic);
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::optional<binsim::Process> process(std::in_place, compiled);
+        std::optional<dyncapi::DynCapi> dyn(std::in_place, *process);
+        state.ResumeTiming();
+        dyncapi::InitStats stats = dyn->applyPolicy(policy);
+        benchmark::DoNotOptimize(stats.patchedFunctions);
+        state.PauseTiming();
+        dyn.reset();
+        process.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TinitApply)->Arg(10000);
 
 void BM_MetaCgToJson(benchmark::State& state) {
     binsim::AppModel model = modelOfSize(static_cast<std::uint32_t>(state.range(0)));

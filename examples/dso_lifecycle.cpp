@@ -90,8 +90,7 @@ int main() {
 
     // dlopen again: the object re-registers and can be re-patched.
     process.dlopenDso(0);
-    dyncapi::DynCapi dyn2(process);  // re-resolve after the load
-    auto pidA2 = dyn2.resolveName("plugin_a_run");
+    auto pidA2 = dyn.resolveName("plugin_a_run");  // follows the new object id
     xr.patchFunction(*pidA2);
     events = 0;
     engine.run();

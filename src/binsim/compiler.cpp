@@ -18,12 +18,15 @@ std::uint64_t roundUp(std::uint64_t value, std::uint64_t alignment) {
     return (value + alignment - 1) / alignment * alignment;
 }
 
-/// Lays out all functions assigned to one object and fills its image.
+/// Lays out all functions assigned to one object, fills its image and
+/// records each emitted function's home (`objectIndex`: -1 = executable,
+/// else the DSO index).
 ObjectImage buildObject(const AppModel& model, const CompileOptions& options,
                         const std::vector<std::uint32_t>& members,
                         const std::vector<bool>& inlinedAway,
                         const std::vector<bool>& symbolRetained, std::string name,
-                        bool isMainExecutable) {
+                        std::int32_t objectIndex, std::vector<FunctionHome>& homes) {
+    const bool isMainExecutable = objectIndex == FunctionHome::kExecutable;
     ObjectImage image;
     image.name = std::move(name);
     image.isMainExecutable = isMainExecutable;
@@ -83,8 +86,8 @@ ObjectImage buildObject(const AppModel& model, const CompileOptions& options,
         symbol.hidden = fn.flags.hiddenVisibility;
         image.symbols.push_back(std::move(symbol));
 
-        image.modelToLocal.emplace(modelIndex,
-                                   static_cast<std::uint32_t>(image.functions.size()));
+        homes[modelIndex] = {objectIndex,
+                             static_cast<std::uint32_t>(image.functions.size())};
         image.functions.push_back(compiled);
     }
 
@@ -105,20 +108,18 @@ CompiledProgram::CompiledProgram() {
 }
 
 const ObjectImage* CompiledProgram::objectOf(std::uint32_t modelIndex) const {
-    if (image_->executable.modelToLocal.contains(modelIndex)) {
-        return &image_->executable;
+    const FunctionHome home = homeOf(modelIndex);
+    if (!home.hasCode()) {
+        return nullptr;
     }
-    for (const ObjectImage& dso : image_->dsos) {
-        if (dso.modelToLocal.contains(modelIndex)) {
-            return &dso;
-        }
-    }
-    return nullptr;
+    return home.object == FunctionHome::kExecutable
+               ? &image_->executable
+               : &image_->dsos[static_cast<std::size_t>(home.object)];
 }
 
 const CompiledFunction* CompiledProgram::compiledOf(std::uint32_t modelIndex) const {
     const ObjectImage* obj = objectOf(modelIndex);
-    return obj == nullptr ? nullptr : obj->findByModelIndex(modelIndex);
+    return obj == nullptr ? nullptr : &obj->functions[homeOf(modelIndex).local];
 }
 
 CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
@@ -129,6 +130,7 @@ CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
 
     const std::size_t n = model.functions.size();
     program.inlinedAway.assign(n, false);
+    program.homes.assign(n, FunctionHome{});
     std::vector<bool> symbolRetained(n, false);
 
     // Inliner pass: inline-marked functions under the size limit vanish, and
@@ -180,11 +182,15 @@ CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
 
     program.executable =
         buildObject(model, options, exeMembers, program.inlinedAway, symbolRetained,
-                    model.name.empty() ? "a.out" : model.name, true);
+                    model.name.empty() ? "a.out" : model.name,
+                    FunctionHome::kExecutable, program.homes);
+    program.dsos.reserve(model.dsos.size());
     for (std::size_t d = 0; d < model.dsos.size(); ++d) {
         program.dsos.push_back(buildObject(model, options, dsoMembers[d],
                                            program.inlinedAway, symbolRetained,
-                                           model.dsos[d].name, false));
+                                           model.dsos[d].name,
+                                           static_cast<std::int32_t>(d),
+                                           program.homes));
     }
 
     // Rebuild cost model: one compile job per translation unit.

@@ -39,6 +39,20 @@ struct CompileOptions {
     double secondsPerTranslationUnit = 0.35;    ///< Rebuild cost model.
 };
 
+/// Where a model function's code lives: the object image that emitted it and
+/// its entry in that image's `functions`.
+struct FunctionHome {
+    static constexpr std::int32_t kExecutable = -1;
+    static constexpr std::int32_t kNoCode = -2;
+
+    /// kExecutable, a DSO index, or kNoCode (no body, or inlined away
+    /// without a retained out-of-line copy).
+    std::int32_t object = kNoCode;
+    std::uint32_t local = 0;  ///< Index into the object's `functions`.
+
+    bool hasCode() const { return object != kNoCode; }
+};
+
 /// The toolchain's output: an immutable value whose image (model copy,
 /// object images with their symbol and sled tables, inlining facts) sits
 /// behind a shared const pointer. Copying a CompiledProgram bumps a
@@ -58,6 +72,14 @@ public:
     const std::vector<bool>& inlinedAway() const { return image_->inlinedAway; }
     double fullRebuildSeconds() const { return image_->fullRebuildSeconds; }
 
+    /// Dense home index, one entry per model function, filled at compile
+    /// time: every object/compiled-function lookup below is an array read.
+    /// A model index out of range has no code.
+    FunctionHome homeOf(std::uint32_t modelIndex) const {
+        return modelIndex < image_->homes.size() ? image_->homes[modelIndex]
+                                                 : FunctionHome{};
+    }
+
     /// Object image holding a model function's code; nullptr when inlined
     /// away without a retained out-of-line copy.
     const ObjectImage* objectOf(std::uint32_t modelIndex) const;
@@ -70,6 +92,7 @@ private:
         ObjectImage executable;
         std::vector<ObjectImage> dsos;
         std::vector<bool> inlinedAway;
+        std::vector<FunctionHome> homes;  ///< Indexed by model function.
         double fullRebuildSeconds = 0.0;
     };
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "xraysim/sled.hpp"
@@ -29,7 +28,9 @@ struct CompiledFunction {
 };
 
 /// A compiled executable or shared object, at link-time addresses. Where it
-/// is mapped is per process (Process::loadBase).
+/// is mapped is per process (Process::loadBase). Which entry of `functions`
+/// holds a given model function is not kept per object: the program's dense
+/// home index answers that in one array read (CompiledProgram::homeOf).
 struct ObjectImage {
     std::string name;
     bool isMainExecutable = false;
@@ -41,13 +42,6 @@ struct ObjectImage {
     std::vector<Symbol> symbols;               ///< Sorted by address.
     xray::SledTable sledTable;                 ///< Link-time addresses.
     std::vector<CompiledFunction> functions;   ///< Functions with code here.
-    std::unordered_map<std::uint32_t, std::uint32_t> modelToLocal;
-    ///< AppModel function index -> index into `functions`.
-
-    const CompiledFunction* findByModelIndex(std::uint32_t modelIndex) const {
-        auto it = modelToLocal.find(modelIndex);
-        return it == modelToLocal.end() ? nullptr : &functions[it->second];
-    }
 };
 
 }  // namespace capi::binsim

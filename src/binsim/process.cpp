@@ -40,16 +40,8 @@ void Process::registerObjects() {
     localToModel_.assign(xray::kMaxObjectId + 1, {});
 
     const ObjectImage& executable = program_.executable();
-    xray_->registerMainExecutable(makeRegistration(executable, loadBase(-1)));
-    {
-        std::vector<std::uint32_t>& table = localToModel_[0];
-        table.resize(executable.sledTable.functionCount());
-        for (const CompiledFunction& fn : executable.functions) {
-            if (fn.hasSleds) {
-                table[fn.localId] = fn.modelIndex;
-            }
-        }
-    }
+    mapLocalIds(executable,
+                xray_->registerMainExecutable(makeRegistration(executable, loadBase(-1))));
 
     if (!options_.registerDsos) {
         return;
@@ -66,73 +58,74 @@ void Process::registerObjects() {
                                  dso.name + "'");
         }
         dsoObjectIds_[d] = handle->objectId;
-        std::vector<std::uint32_t>& table = localToModel_[handle->objectId];
-        table.resize(dso.sledTable.functionCount());
-        for (const CompiledFunction& fn : dso.functions) {
-            if (fn.hasSleds) {
-                table[fn.localId] = fn.modelIndex;
-            }
+        mapLocalIds(dso, handle->objectId);
+    }
+}
+
+void Process::mapLocalIds(const ObjectImage& image, xray::ObjectId objectId) {
+    std::vector<std::uint32_t>& table = localToModel_[objectId];
+    table.assign(xray_->functionCount(objectId), 0);
+    for (const CompiledFunction& fn : image.functions) {
+        if (fn.hasSleds) {
+            table[fn.localId] = fn.modelIndex;
         }
     }
 }
 
 void Process::rebuildExecInfo() {
+    // Per object image (slot 0 = executable, d + 1 = DSO d): its live XRay
+    // object id, if any, and the link-to-load address shift.
+    struct Placement {
+        const ObjectImage* image;
+        std::optional<xray::ObjectId> objectId;
+        std::uint64_t delta;
+    };
+    std::vector<Placement> placements;
+    placements.reserve(program_.dsos().size() + 1);
+    placements.push_back({&program_.executable(), xray::kMainExecutableObjectId, 0});
+    for (std::size_t d = 0; d < program_.dsos().size(); ++d) {
+        const ObjectImage& dso = program_.dsos()[d];
+        placements.push_back({&dso,
+                              dsoLoaded_[d] ? dsoObjectIds_[d] : std::nullopt,
+                              dsoLoadBases_[d] - dso.linkBase});
+    }
+
     const std::size_t functionCount = program_.model().functions.size();
+    const std::vector<bool>& inlinedAway = program_.inlinedAway();
     execInfo_.assign(functionCount, ExecInfo{});
     for (std::uint32_t i = 0; i < functionCount; ++i) {
         ExecInfo& info = execInfo_[i];
-        info.inlined = program_.inlinedAway()[i];
-
-        const ObjectImage* obj = program_.objectOf(i);
-        const CompiledFunction* fn = program_.compiledOf(i);
-        if (obj == nullptr || fn == nullptr) {
+        info.inlined = inlinedAway[i];
+        const FunctionHome home = program_.homeOf(i);
+        if (!home.hasCode()) {
             continue;
         }
         info.hasCode = true;
-        if (!fn->hasSleds || info.inlined) {
-            // Inlined functions never execute their out-of-line copy, so
-            // their sleds (if any) are unreachable from the engine.
-            info.hasSleds = fn->hasSleds && !info.inlined;
-        }
-        if (!fn->hasSleds) {
-            continue;
-        }
-
-        // Resolve the object id; DSOs may be unloaded (dlclose).
-        std::optional<xray::ObjectId> objectId;
-        std::uint64_t base = obj->linkBase;
-        if (obj->isMainExecutable) {
-            objectId = xray::kMainExecutableObjectId;
-        } else {
-            for (std::size_t d = 0; d < program_.dsos().size(); ++d) {
-                if (&program_.dsos()[d] == obj) {
-                    if (dsoLoaded_[d]) {
-                        objectId = dsoObjectIds_[d];
-                    }
-                    base = dsoLoadBases_[d];
-                    break;
-                }
-            }
-        }
-        if (!objectId.has_value() || info.inlined) {
+        const Placement& placement =
+            placements[static_cast<std::size_t>(home.object + 1)];
+        const CompiledFunction& fn = placement.image->functions[home.local];
+        // Inlined functions never execute their out-of-line copy, so their
+        // sleds (if any) are unreachable from the engine; a dlclosed DSO has
+        // no live sleds.
+        if (!fn.hasSleds || info.inlined || !placement.objectId.has_value()) {
             continue;
         }
         info.hasSleds = true;
-        std::uint64_t delta = base - obj->linkBase;
-        info.entryAddress = fn->entryAddress + delta;
-        info.exitAddress = fn->exitAddress + delta;
-        info.packedId = xray::packId(*objectId, fn->localId);
+        info.entryAddress = fn.entryAddress + placement.delta;
+        info.exitAddress = fn.exitAddress + placement.delta;
+        info.packedId = xray::packId(*placement.objectId, fn.localId);
     }
 }
 
 std::vector<MapEntry> Process::memoryMap() const {
     std::vector<MapEntry> map;
     map.push_back({program_.executable().name, loadBase(-1),
-                   program_.executable().sizeBytes, true});
+                   program_.executable().sizeBytes, true, -1});
     for (std::size_t d = 0; d < program_.dsos().size(); ++d) {
         if (dsoLoaded_[d]) {
             map.push_back({program_.dsos()[d].name, dsoLoadBases_[d],
-                           program_.dsos()[d].sizeBytes, false});
+                           program_.dsos()[d].sizeBytes, false,
+                           static_cast<int>(d)});
         }
     }
     return map;
@@ -179,6 +172,7 @@ bool Process::dlcloseDso(std::size_t dsoIndex) {
         dsoObjectIds_[dsoIndex] = std::nullopt;
     }
     dsoLoaded_[dsoIndex] = false;
+    ++loadGeneration_;
     rebuildExecInfo();
     return true;
 }
@@ -194,15 +188,10 @@ bool Process::dlopenDso(std::size_t dsoIndex) {
             *xray_, makeRegistration(dso, dsoLoadBases_[dsoIndex]));
         if (handle.has_value()) {
             dsoObjectIds_[dsoIndex] = handle->objectId;
-            std::vector<std::uint32_t>& table = localToModel_[handle->objectId];
-            table.assign(dso.sledTable.functionCount(), 0);
-            for (const CompiledFunction& fn : dso.functions) {
-                if (fn.hasSleds) {
-                    table[fn.localId] = fn.modelIndex;
-                }
-            }
+            mapLocalIds(dso, handle->objectId);
         }
     }
+    ++loadGeneration_;
     rebuildExecInfo();
     return true;
 }

@@ -37,6 +37,7 @@ struct MapEntry {
     std::uint64_t loadBase = 0;
     std::uint64_t sizeBytes = 0;
     bool isMainExecutable = false;
+    int dsoIndex = -1;  ///< Object image index (-1 = executable).
 };
 
 /// Per-model-function execution facts, precomputed for the hot call path.
@@ -74,8 +75,13 @@ public:
     /// dlclose simulation: deregisters (unpatching its sleds) and unmaps.
     bool dlcloseDso(std::size_t dsoIndex);
     /// dlopen simulation: re-registers a previously closed DSO at the same
-    /// base address (the mapping is kept reserved).
+    /// base address (the mapping is kept reserved). It takes the first free
+    /// XRay object id, which need not be the id it had before.
     bool dlopenDso(std::size_t dsoIndex);
+
+    /// Bumped by every successful dlopenDso/dlcloseDso: callers that key
+    /// tables by XRay object id compare it to learn that ids may have moved.
+    std::uint64_t loadGeneration() const { return loadGeneration_; }
 
     const std::vector<ExecInfo>& execInfo() const { return execInfo_; }
 
@@ -89,6 +95,8 @@ public:
 
 private:
     void registerObjects();
+    /// Fills localToModel_ for a freshly registered object.
+    void mapLocalIds(const ObjectImage& image, xray::ObjectId objectId);
     void rebuildExecInfo();
     xray::ObjectRegistration makeRegistration(const ObjectImage& image,
                                               std::uint64_t loadBase) const;
@@ -100,6 +108,7 @@ private:
     std::unique_ptr<xray::XRayRuntime> xray_;
     std::vector<std::optional<xray::ObjectId>> dsoObjectIds_;
     std::vector<bool> dsoLoaded_;
+    std::uint64_t loadGeneration_ = 0;
     std::vector<ExecInfo> execInfo_;
     /// objectId -> (localId -> model function index).
     std::vector<std::vector<std::uint32_t>> localToModel_;

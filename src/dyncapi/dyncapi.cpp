@@ -1,10 +1,10 @@
 #include "dyncapi/dyncapi.hpp"
 
+#include <algorithm>
 #include <mutex>
-#include <unordered_set>
+#include <numeric>
 
 #include "binsim/execution_engine.hpp"
-#include "binsim/nm.hpp"
 #include "scorepsim/cyg_adapter.hpp"
 #include "support/timer.hpp"
 #include "talpsim/talp.hpp"
@@ -104,84 +104,138 @@ struct DynCapi::TalpBackend {
 
 // ------------------------------------------------------------------ DynCapi --
 
-DynCapi::DynCapi(binsim::Process& process) : process_(&process) {
-    resolveAllObjects();
+DynCapi::DynCapi(binsim::Process& process)
+    : process_(&process), images_(process.program().dsos().size() + 1) {
+    mapObjects();
 }
 
 DynCapi::~DynCapi() { detachHandler(); }
 
-void DynCapi::resolveAllObjects() {
+void DynCapi::resolveImage(ImageResolution& out, int dsoIndex,
+                           xray::ObjectId objectId) const {
+    out.resolved = true;
+    out.addresses = process_->xray().functionAddresses(objectId);
+    out.names.assign(out.addresses.size(), std::string_view());
+
+    // Function ids by runtime address. The compiler hands ids out in layout
+    // order, so the sort is normally skipped.
+    std::vector<std::uint32_t> order(out.addresses.size());
+    std::iota(order.begin(), order.end(), 0u);
+    auto byAddress = [&](std::uint32_t a, std::uint32_t b) {
+        return out.addresses[a] < out.addresses[b];
+    };
+    if (!std::is_sorted(order.begin(), order.end(), byAddress)) {
+        std::stable_sort(order.begin(), order.end(), byAddress);
+    }
+
+    // The nm view of the object — visible symbols at link addresses shifted
+    // by the load base — walked in step with the ids. The first visible
+    // symbol at an address names it.
+    const binsim::ObjectImage& image = process_->objectImage(dsoIndex);
+    const std::vector<binsim::Symbol>& symbols = image.symbols;
+    const std::uint64_t delta = process_->loadBase(dsoIndex) - image.linkBase;
+    std::size_t next = 0;
+    for (std::uint32_t fid : order) {
+        const std::uint64_t address = out.addresses[fid];
+        if (address == 0) {
+            continue;
+        }
+        ++out.sledded;
+        while (next < symbols.size() && symbols[next].address + delta < address) {
+            ++next;
+        }
+        std::size_t match = next;
+        while (match < symbols.size() && symbols[match].address + delta == address &&
+               symbols[match].hidden) {
+            ++match;
+        }
+        if (match < symbols.size() && symbols[match].address + delta == address) {
+            out.names[fid] = symbols[match].name;
+        } else {
+            ++out.unresolvable;  // Hidden symbol: nm cannot see it.
+        }
+    }
+}
+
+void DynCapi::syncObjectIds() const {
+    if (loadGeneration_ != process_->loadGeneration()) {
+        mapObjects();
+    }
+}
+
+void DynCapi::mapObjects() const {
     support::Timer timer;
+    loadGeneration_ = process_->loadGeneration();
     addressByObject_.assign(xray::kMaxObjectId + 1, {});
     nameByObject_.assign(xray::kMaxObjectId + 1, {});
-    packedByName_.clear();
     unresolvable_ = 0;
     sledded_ = 0;
     objectsScanned_ = 0;
 
+    // Registered objects in name-precedence order: the executable, then
+    // every DSO by index, each under its current XRay object id.
     xray::XRayRuntime& xr = process_->xray();
-    const binsim::CompiledProgram& program = process_->program();
-
-    // Candidate objects: the executable plus every DSO; find their XRay
-    // object ids and load bases from the process (registration order).
-    struct Candidate {
-        xray::ObjectId objectId;
-        const binsim::ObjectImage* image;
-        std::uint64_t loadBase;
-    };
-    std::vector<Candidate> objects;
-    objects.push_back({xray::kMainExecutableObjectId, &program.executable(),
-                       process_->loadBase(-1)});
-    for (std::size_t d = 0; d < program.dsos().size(); ++d) {
-        const int dso = static_cast<int>(d);
-        std::optional<xray::ObjectId> id = process_->xrayObjectId(dso);
-        if (id.has_value() && xr.objectRegistered(*id)) {
-            objects.push_back({*id, &program.dsos()[d], process_->loadBase(dso)});
+    std::vector<std::pair<const ImageResolution*, xray::ObjectId>> live;
+    std::size_t names = 0;
+    for (std::size_t slot = 0; slot < images_.size(); ++slot) {
+        const int dsoIndex = static_cast<int>(slot) - 1;
+        std::optional<xray::ObjectId> id = process_->xrayObjectId(dsoIndex);
+        if (!id.has_value() || !xr.objectRegistered(*id)) {
+            continue;
         }
-    }
-
-    for (const auto& [objectId, image, loadBase] : objects) {
+        ImageResolution& image = images_[slot];
+        if (!image.resolved) {
+            resolveImage(image, dsoIndex, *id);
+        }
         ++objectsScanned_;
-        std::uint32_t functions = xr.functionCount(objectId);
-        addressByObject_[objectId].assign(functions, 0);
-        nameByObject_[objectId].assign(functions, std::string());
+        sledded_ += image.sledded;
+        unresolvable_ += image.unresolvable;
+        names += image.sledded - image.unresolvable;
+        addressByObject_[*id] = image.addresses;
+        nameByObject_[*id] = image.names;
+        live.emplace_back(&image, *id);
+    }
 
-        // nm dump translated by load base: runtime address -> symbol name.
-        std::unordered_map<std::uint64_t, const binsim::NmEntry*> byAddress;
-        std::vector<binsim::NmEntry> symbols = binsim::nmDump(*image);
-        std::uint64_t delta = loadBase - image->linkBase;
-        byAddress.reserve(symbols.size());
-        for (const binsim::NmEntry& symbol : symbols) {
-            byAddress.emplace(symbol.address + delta, &symbol);
-        }
-
-        // Cross-check every XRay function id against the translated symbols.
-        for (std::uint32_t fid = 0; fid < functions; ++fid) {
-            xray::PackedId pid = xray::packId(objectId, fid);
-            std::uint64_t address = xr.functionAddress(pid);
-            if (address == 0) {
-                continue;
+    packedByName_.clear();
+    packedByName_.reserve(names);
+    for (const auto& [image, objectId] : live) {
+        for (std::uint32_t fid = 0; fid < image->names.size(); ++fid) {
+            if (image->names[fid].data() != nullptr) {
+                packedByName_.emplace(image->names[fid], xray::packId(objectId, fid));
             }
-            ++sledded_;
-            addressByObject_[objectId][fid] = address;
-            auto it = byAddress.find(address);
-            if (it == byAddress.end()) {
-                ++unresolvable_;  // Hidden symbol: nm cannot see it.
-                continue;
-            }
-            nameByObject_[objectId][fid] = it->second->name;
-            packedByName_.emplace(it->second->name, pid);
         }
     }
-    resolutionSeconds_ = timer.elapsedSec();
+
+    // The TALP backend caches region handles by packed id; ids that moved
+    // now name other functions.
+    if (talpBackend_ != nullptr) {
+        std::lock_guard<std::mutex> lock(talpBackend_->mutex);
+        talpBackend_->regions.clear();
+    }
+    resolutionSeconds_ += timer.elapsedSec();
 }
 
-std::optional<xray::PackedId> DynCapi::resolveName(const std::string& name) const {
+std::optional<xray::PackedId> DynCapi::lookupName(std::string_view name) const {
     auto it = packedByName_.find(name);
     if (it == packedByName_.end()) {
         return std::nullopt;
     }
     return it->second;
+}
+
+std::optional<xray::PackedId> DynCapi::resolveName(const std::string& name) const {
+    syncObjectIds();
+    return lookupName(name);
+}
+
+std::size_t DynCapi::unresolvableFunctionCount() const {
+    syncObjectIds();
+    return unresolvable_;
+}
+
+std::size_t DynCapi::sleddedFunctionCount() const {
+    syncObjectIds();
+    return sledded_;
 }
 
 std::optional<std::string> DynCapi::nameOf(xray::PackedId id) const {
@@ -191,7 +245,7 @@ std::optional<std::string> DynCapi::nameOf(xray::PackedId id) const {
         nameByObject_[objectId][fid].empty()) {
         return std::nullopt;
     }
-    return nameByObject_[objectId][fid];
+    return std::string(nameByObject_[objectId][fid]);
 }
 
 std::uint64_t DynCapi::addressOf(xray::PackedId id) const {
@@ -205,6 +259,7 @@ std::uint64_t DynCapi::addressOf(xray::PackedId id) const {
 }
 
 InitStats DynCapi::applyPolicy(const select::InstrumentationPolicy& policy) {
+    syncObjectIds();
     InitStats stats;
     stats.symbolResolutionSeconds = resolutionSeconds_;
     stats.objectsScanned = objectsScanned_;
@@ -254,10 +309,11 @@ std::optional<xray::PackedId> DynCapi::resolvePolicyEntry(
     if (staticIt != policy.staticIds.end()) {
         return staticIt->second;  // Static-ID extension: no name resolution.
     }
-    return resolveName(name);
+    return lookupName(name);
 }
 
 DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy) {
+    syncObjectIds();
     DeltaStats stats;
     stats.requestedFunctions = policy.functions.size();
 
@@ -353,6 +409,7 @@ void DynCapi::syncGates(const select::InstrumentationPolicy& policy) {
 }
 
 InitStats DynCapi::patchAll() {
+    syncObjectIds();
     InitStats stats;
     stats.symbolResolutionSeconds = resolutionSeconds_;
     stats.objectsScanned = objectsScanned_;
@@ -372,6 +429,7 @@ void DynCapi::unpatchAll() { process_->xray().unpatchAll(); }
 
 void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
     detachHandler();
+    syncObjectIds();
     cygBackend_ = std::make_unique<CygBackend>();
     cygBackend_->owner = this;
     cygBackend_->adapter = &adapter;
@@ -384,6 +442,7 @@ void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
 
 void DynCapi::attachTalpHandler(talp::TalpRuntime& talp) {
     detachHandler();
+    syncObjectIds();
     talpBackend_ = std::make_unique<TalpBackend>();
     talpBackend_->owner = this;
     talpBackend_->talp = &talp;

@@ -14,12 +14,32 @@
 // no recompilation, the headline capability of the paper. The static-ID
 // extension (IC carries packed IDs) bypasses name resolution entirely and
 // reaches hidden symbols, implementing the future-work idea from Sec. VI-B.
+//
+// Borrowed names. Resolution copies no symbol name: the name tables hold
+// std::string_views into the process's immutable compiled image, which the
+// Process keeps alive. A DynCapi must therefore not outlive the Process it
+// was built on (it already holds a pointer to it).
+//
+// Object-id refresh. The tables are keyed by XRay object id, and
+// dlclose/dlopen can move a DSO to another id (a reopened DSO takes the
+// first free slot). Each object image is resolved once, the first time it
+// is registered; the id-keyed tables are re-pointed at those resolutions
+// whenever Process::loadGeneration() has moved. That check runs on the
+// control-plane calls — applyPolicy, applyPolicyDelta, applyIc(Delta),
+// patchAll, resolveName, the two counts and handler attach — never on the
+// per-event addressOf/nameOf path. This is exact because a reopened DSO's
+// sleds stay NOP until the next apply, so no event can carry one of its
+// new ids before the tables follow it. Like every control-plane call,
+// resolveName and the counts must not run concurrently with each other or
+// with a dlopen/dlclose.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,6 +89,7 @@ class DynCapi {
 public:
     /// Builds the fid<->name mapping for every object registered with the
     /// process's XRay runtime (this is the symbol-resolution phase of Tinit).
+    /// The process must outlive this object: names are borrowed from it.
     explicit DynCapi(binsim::Process& process);
 
     ~DynCapi();
@@ -121,14 +142,21 @@ public:
     void unpatchAll();
 
     // --- name resolution ----------------------------------------------------
+    /// Packed id of the first visible symbol of that name, objects taken in
+    /// the order executable, then DSOs by index. Follows the live object ids.
     std::optional<xray::PackedId> resolveName(const std::string& name) const;
-    /// Name for a packed id; nullopt for hidden symbols.
+    /// Name for a packed id; nullopt for hidden symbols. Event path: reads
+    /// the tables as of the last control-plane call (see the header note).
     std::optional<std::string> nameOf(xray::PackedId id) const;
-    /// Runtime entry-sled address for a packed id (0 if unknown).
+    /// Runtime entry-sled address for a packed id (0 if unknown). Event
+    /// path: two array reads, no refresh check.
     std::uint64_t addressOf(xray::PackedId id) const;
 
-    std::size_t unresolvableFunctionCount() const { return unresolvable_; }
-    std::size_t sleddedFunctionCount() const { return sledded_; }
+    /// Sledded functions of the registered objects whose name nm cannot see.
+    std::size_t unresolvableFunctionCount() const;
+    /// Functions with sleds over all registered objects.
+    std::size_t sleddedFunctionCount() const;
+    /// Time spent resolving object images so far.
     double symbolResolutionSeconds() const { return resolutionSeconds_; }
 
     // --- measurement backends ----------------------------------------------
@@ -153,7 +181,31 @@ private:
     struct TalpBackend;
     struct CygBackend;
 
-    void resolveAllObjects();
+    /// One object image's resolution, made the first time the image is
+    /// registered and reused under every object id it gets later: a DSO
+    /// keeps its load base across dlclose/dlopen, so neither its runtime
+    /// addresses nor its names change.
+    struct ImageResolution {
+        bool resolved = false;
+        /// Per local function id: runtime entry-sled address, 0 = no sleds.
+        std::vector<std::uint64_t> addresses;
+        /// Per local function id: the name, viewing the compiled image; a
+        /// null view (data() == nullptr) marks an unresolvable function.
+        std::vector<std::string_view> names;
+        std::size_t sledded = 0;
+        std::size_t unresolvable = 0;
+    };
+
+    /// Merge join of the image's address-sorted symbol table, translated
+    /// by load base, against the object's function ids sorted by
+    /// __xray_function_address.
+    void resolveImage(ImageResolution& out, int dsoIndex,
+                      xray::ObjectId objectId) const;
+    /// Re-keys the tables by live object id when the process's load
+    /// generation moved since the last call.
+    void syncObjectIds() const;
+    void mapObjects() const;
+    std::optional<xray::PackedId> lookupName(std::string_view name) const;
     std::optional<xray::PackedId> resolvePolicyEntry(
         const select::InstrumentationPolicy& policy, const std::string& name) const;
     /// Rewrites the attached measurement's sampling gates to match
@@ -162,15 +214,21 @@ private:
     void syncGates(const select::InstrumentationPolicy& policy);
 
     binsim::Process* process_;
+    // Resolution state. Mutable because const lookups refresh it too
+    // (syncObjectIds); it only changes after a dlopen/dlclose, at a
+    // control-plane call, never from the event handlers.
+    /// Slot 0 = executable, d + 1 = DSO d.
+    mutable std::vector<ImageResolution> images_;
+    mutable std::uint64_t loadGeneration_ = 0;
     /// addressByObject_[objectId][localFid] = runtime entry address (0 = none).
-    std::vector<std::vector<std::uint64_t>> addressByObject_;
+    mutable std::vector<std::span<const std::uint64_t>> addressByObject_;
     /// nameByObject_[objectId][localFid]; empty = unresolvable.
-    std::vector<std::vector<std::string>> nameByObject_;
-    std::unordered_map<std::string, xray::PackedId> packedByName_;
-    std::size_t unresolvable_ = 0;
-    std::size_t sledded_ = 0;
-    std::size_t objectsScanned_ = 0;
-    double resolutionSeconds_ = 0.0;
+    mutable std::vector<std::span<const std::string_view>> nameByObject_;
+    mutable std::unordered_map<std::string_view, xray::PackedId> packedByName_;
+    mutable std::size_t unresolvable_ = 0;
+    mutable std::size_t sledded_ = 0;
+    mutable std::size_t objectsScanned_ = 0;
+    mutable double resolutionSeconds_ = 0.0;
 
     std::unique_ptr<CygBackend> cygBackend_;
     std::unique_ptr<TalpBackend> talpBackend_;

@@ -8,45 +8,43 @@ SymbolResolver SymbolResolver::fromExecutable(const binsim::ObjectImage& executa
     SymbolResolver resolver;
     // The executable is mapped at its link base, so nm addresses are process
     // addresses already.
-    for (const binsim::NmEntry& symbol : binsim::nmDump(executable)) {
-        resolver.addEntry(
-            {symbol.address, symbol.address + symbol.size, symbol.name});
-    }
+    resolver.appendObject(executable, executable.linkBase);
     resolver.sortEntries();
     return resolver;
 }
 
 std::size_t SymbolResolver::injectObject(const binsim::ObjectImage& object,
                                          std::uint64_t loadBase) {
-    std::size_t injected = 0;
-    std::uint64_t delta = loadBase - object.linkBase;
-    for (const binsim::NmEntry& symbol : binsim::nmDump(object)) {
-        addEntry({symbol.address + delta, symbol.address + delta + symbol.size,
-                  symbol.name});
-        ++injected;
-    }
+    std::size_t injected = appendObject(object, loadBase);
     sortEntries();
     return injected;
 }
 
 SymbolResolver SymbolResolver::withSymbolInjection(const binsim::Process& process) {
-    const binsim::CompiledProgram& program = process.program();
-    SymbolResolver resolver = fromExecutable(program.executable());
-    // Walk the memory map (the /proc/self/maps analogue) and inject every
-    // mapped shared object.
+    SymbolResolver resolver;
+    // Walk the memory map (the /proc/self/maps analogue): the executable and
+    // every mapped shared object, each translated by its load base. One
+    // sort once everything is in.
     for (const binsim::MapEntry& map : process.memoryMap()) {
-        if (map.isMainExecutable) {
-            continue;
-        }
-        for (std::size_t d = 0; d < program.dsos().size(); ++d) {
-            const binsim::ObjectImage& dso = program.dsos()[d];
-            if (dso.name == map.object &&
-                process.loadBase(static_cast<int>(d)) == map.loadBase) {
-                resolver.injectObject(dso, map.loadBase);
-            }
-        }
+        resolver.appendObject(process.objectImage(map.dsoIndex), map.loadBase);
     }
+    resolver.sortEntries();
     return resolver;
+}
+
+std::size_t SymbolResolver::appendObject(const binsim::ObjectImage& object,
+                                         std::uint64_t loadBase) {
+    std::size_t appended = 0;
+    const std::uint64_t delta = loadBase - object.linkBase;
+    for (const binsim::Symbol& symbol : object.symbols) {
+        if (symbol.hidden) {
+            continue;  // Not in the nm dump.
+        }
+        addEntry({symbol.address + delta, symbol.address + delta + symbol.size,
+                  symbol.name});
+        ++appended;
+    }
+    return appended;
 }
 
 void SymbolResolver::addEntry(Entry entry) {

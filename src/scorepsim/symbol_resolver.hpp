@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "binsim/nm.hpp"
 #include "binsim/process.hpp"
 
 namespace capi::scorep {
@@ -31,7 +30,8 @@ public:
     std::size_t injectObject(const binsim::ObjectImage& object,
                              std::uint64_t loadBase);
 
-    /// Injects every DSO found in the process memory map.
+    /// The executable plus every DSO found in the process memory map, sorted
+    /// once.
     static SymbolResolver withSymbolInjection(const binsim::Process& process);
 
     /// Resolves a runtime address to the containing function's name.
@@ -46,6 +46,9 @@ private:
         std::string name;
     };
 
+    /// Appends one object's nm dump translated by `loadBase`, unsorted.
+    std::size_t appendObject(const binsim::ObjectImage& object,
+                             std::uint64_t loadBase);
     void addEntry(Entry entry);
     void sortEntries();
 

@@ -9,8 +9,9 @@
 
 namespace capi::xray {
 
-void XRayRuntime::validateRegistration(const ObjectRegistration& registration) const {
-    std::uint32_t functions = registration.sledTable.functionCount();
+std::uint32_t XRayRuntime::validateRegistration(
+    const ObjectRegistration& registration) const {
+    const std::uint32_t functions = registration.sledTable.functionCount();
     if (functions > kMaxFunctionsPerObject) {
         throw support::Error("XRay: object '" + registration.name + "' uses " +
                              std::to_string(functions) +
@@ -24,10 +25,29 @@ void XRayRuntime::validateRegistration(const ObjectRegistration& registration) c
                                  "' outside mapped code memory");
         }
     }
+    return functions;
 }
 
-XRayRuntime::ObjectRecord XRayRuntime::makeRecord(
-    ObjectRegistration&& registration) const {
+XRayRuntime::SledIndex XRayRuntime::SledIndex::build(const SledTable& table,
+                                                     std::uint32_t functionCount) {
+    SledIndex index;
+    index.offsets.assign(static_cast<std::size_t>(functionCount) + 1, 0);
+    for (const SledEntry& sled : table.sleds) {
+        ++index.offsets[sled.function + 1];
+    }
+    for (std::size_t f = 1; f < index.offsets.size(); ++f) {
+        index.offsets[f] += index.offsets[f - 1];
+    }
+    index.sleds.resize(table.sleds.size());
+    std::vector<std::uint32_t> cursor(index.offsets.begin(), index.offsets.end() - 1);
+    for (std::uint32_t i = 0; i < table.sleds.size(); ++i) {
+        index.sleds[cursor[table.sleds[i].function]++] = i;
+    }
+    return index;
+}
+
+XRayRuntime::ObjectRecord XRayRuntime::makeRecord(ObjectRegistration&& registration,
+                                                  std::uint32_t functionCount) const {
     ObjectRecord record;
     record.inUse = true;
     record.name = std::move(registration.name);
@@ -35,11 +55,8 @@ XRayRuntime::ObjectRecord XRayRuntime::makeRecord(
     record.loadBase = registration.loadBase;
     record.trampolinesPic = registration.trampolinesPositionIndependent;
     record.sleds = std::move(registration.sledTable);
-    record.sledsOfFunction.resize(record.sleds.functionCount());
-    for (std::uint32_t i = 0; i < record.sleds.sleds.size(); ++i) {
-        record.sledsOfFunction[record.sleds.sleds[i].function].push_back(i);
-    }
-    record.tierOfFunction.assign(record.sleds.functionCount(), kFullTier);
+    record.sledsOfFunction = SledIndex::build(record.sleds, functionCount);
+    record.tierOfFunction.assign(functionCount, kFullTier);
     return record;
 }
 
@@ -69,8 +86,8 @@ ObjectId XRayRuntime::registerMainExecutable(ObjectRegistration registration) {
     if (mainRegistered_) {
         throw support::Error("XRay: main executable already registered");
     }
-    validateRegistration(registration);
-    objects_[kMainExecutableObjectId] = makeRecord(std::move(registration));
+    const std::uint32_t functions = validateRegistration(registration);
+    objects_[kMainExecutableObjectId] = makeRecord(std::move(registration), functions);
     initializeSleds(objects_[kMainExecutableObjectId]);
     mainRegistered_ = true;
     return kMainExecutableObjectId;
@@ -81,10 +98,10 @@ std::optional<ObjectId> XRayRuntime::registerDso(ObjectRegistration registration
     if (!mainRegistered_) {
         throw support::Error("XRay: register the main executable before DSOs");
     }
-    validateRegistration(registration);
+    const std::uint32_t functions = validateRegistration(registration);
     for (ObjectId id = 1; id <= kMaxObjectId; ++id) {
         if (!objects_[id].inUse) {
-            objects_[id] = makeRecord(std::move(registration));
+            objects_[id] = makeRecord(std::move(registration), functions);
             initializeSleds(objects_[id]);
             return id;
         }
@@ -119,7 +136,8 @@ std::size_t XRayRuntime::registeredObjectCount() const {
 std::uint32_t XRayRuntime::functionCount(ObjectId id) const {
     std::lock_guard<std::mutex> lock(mutex_);
     const ObjectRecord* obj = findObject(id);
-    return obj != nullptr ? obj->sleds.functionCount() : 0;
+    return obj != nullptr ? static_cast<std::uint32_t>(obj->sledsOfFunction.size())
+                          : 0;
 }
 
 const std::string& XRayRuntime::objectName(ObjectId id) const {
@@ -577,23 +595,39 @@ std::vector<std::pair<PackedId, std::uint8_t>> XRayRuntime::patchedFunctionTiers
     return patched;
 }
 
-std::uint64_t XRayRuntime::functionAddress(PackedId function) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ObjectId objId = objectIdOf(function);
-    FunctionId fnId = functionIdOf(function);
-    const ObjectRecord* obj = findObject(objId);
-    if (obj == nullptr || fnId >= obj->sledsOfFunction.size() ||
-        obj->sledsOfFunction[fnId].empty()) {
+std::uint64_t XRayRuntime::entryAddress(const ObjectRecord& obj,
+                                        FunctionId fnId) const {
+    if (fnId >= obj.sledsOfFunction.size() || obj.sledsOfFunction[fnId].empty()) {
         return 0;
     }
     // The entry sled is the function's address for all practical purposes.
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        const SledEntry& sled = obj->sleds.sleds[sledIndex];
+    for (std::uint32_t sledIndex : obj.sledsOfFunction[fnId]) {
+        const SledEntry& sled = obj.sleds.sleds[sledIndex];
         if (sled.kind == SledKind::FunctionEnter) {
-            return runtimeAddress(*obj, sled.address);
+            return runtimeAddress(obj, sled.address);
         }
     }
-    return runtimeAddress(*obj, obj->sleds.sleds[obj->sledsOfFunction[fnId][0]].address);
+    return runtimeAddress(obj, obj.sleds.sleds[obj.sledsOfFunction[fnId][0]].address);
+}
+
+std::uint64_t XRayRuntime::functionAddress(PackedId function) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const ObjectRecord* obj = findObject(objectIdOf(function));
+    return obj == nullptr ? 0 : entryAddress(*obj, functionIdOf(function));
+}
+
+std::vector<std::uint64_t> XRayRuntime::functionAddresses(ObjectId id) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const ObjectRecord* obj = findObject(id);
+    std::vector<std::uint64_t> addresses;
+    if (obj == nullptr) {
+        return addresses;
+    }
+    addresses.resize(obj->sledsOfFunction.size());
+    for (FunctionId fnId = 0; fnId < addresses.size(); ++fnId) {
+        addresses[fnId] = entryAddress(*obj, fnId);
+    }
+    return addresses;
 }
 
 bool XRayRuntime::functionPatched(PackedId function) const {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -167,6 +168,10 @@ public:
     /// 0 when unknown.
     std::uint64_t functionAddress(PackedId function) const;
 
+    /// functionAddress for every function id of one object, indexed by
+    /// local id, read under one lock; empty for an unregistered object.
+    std::vector<std::uint64_t> functionAddresses(ObjectId id) const;
+
     /// True if the function's entry sled is currently patched.
     bool functionPatched(PackedId function) const;
 
@@ -184,6 +189,24 @@ public:
     std::size_t patchedSledCount() const;
 
 private:
+    /// Sled indices grouped per local function id, flattened: function f's
+    /// sleds are `sleds[offsets[f] .. offsets[f + 1])`, in sled-table order.
+    /// Built with one count pass, a prefix sum and one positioned fill, so a
+    /// registration allocates a fixed handful of arrays instead of one per
+    /// function.
+    struct SledIndex {
+        std::vector<std::uint32_t> offsets;  ///< functionCount + 1 entries.
+        std::vector<std::uint32_t> sleds;
+
+        static SledIndex build(const SledTable& table, std::uint32_t functionCount);
+        /// Number of function ids (the object's ID space size).
+        std::size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+        std::span<const std::uint32_t> operator[](std::size_t function) const {
+            return {sleds.data() + offsets[function],
+                    sleds.data() + offsets[function + 1]};
+        }
+    };
+
     struct ObjectRecord {
         bool inUse = false;
         std::string name;
@@ -191,8 +214,9 @@ private:
         std::uint64_t loadBase = 0;
         bool trampolinesPic = false;
         SledTable sleds;
-        /// Sled indices grouped per local function id.
-        std::vector<std::vector<std::uint32_t>> sledsOfFunction;
+        /// Sled indices grouped per local function id; its size() is the
+        /// object's function count, computed once at registration.
+        SledIndex sledsOfFunction;
         /// Per-function tier tag (kFullTier/kSampledTier), meaningful while
         /// the function is patched; reset to kFullTier on unpatch. Rebuilt
         /// zeroed on (re-)registration, so a recycled object id never
@@ -204,8 +228,11 @@ private:
         return linkAddr - obj.linkBase + obj.loadBase;
     }
 
-    void validateRegistration(const ObjectRegistration& registration) const;
-    ObjectRecord makeRecord(ObjectRegistration&& registration) const;
+    /// Checks the registration and returns its function count.
+    std::uint32_t validateRegistration(const ObjectRegistration& registration) const;
+    ObjectRecord makeRecord(ObjectRegistration&& registration,
+                            std::uint32_t functionCount) const;
+    std::uint64_t entryAddress(const ObjectRecord& obj, FunctionId fnId) const;
     void initializeSleds(const ObjectRecord& obj);
     PatchStats applyToObject(ObjectRecord& obj, ObjectId id, bool patch);
     void writeSled(const ObjectRecord& obj, ObjectId id, const SledEntry& sled,

@@ -208,6 +208,139 @@ TEST(DynCapi, TalpBackendRecordsRegionsAndPreInitFailures) {
     EXPECT_EQ(amul->visits, 16u);  // 8 per rank
 }
 
+/// Executable plus two DSOs: `a` lives in liba.so (DSO 0), `b` in libb.so
+/// (DSO 1).
+AppModel twoPluginModel() {
+    AppModel model;
+    model.name = "plugins";
+    model.dsos.push_back({"liba.so"});
+    model.dsos.push_back({"libb.so"});
+    for (const auto& [name, dso] :
+         {std::pair<const char*, int>{"main", -1}, {"a", 0}, {"b", 1}}) {
+        AppFunction fn;
+        fn.name = name;
+        fn.prettyName = name;
+        fn.unit = std::string(name) + ".cpp";
+        fn.dso = dso;
+        fn.metrics.numInstructions = 100;
+        fn.flags.hasBody = true;
+        model.functions.push_back(fn);
+    }
+    model.entry = 0;
+    return model;
+}
+
+/// dlclose both DSOs, then dlopen libb before liba: libb takes object id 1,
+/// which was liba's. A DynCapi built before the swap must follow the ids on
+/// its next apply, through the full and the delta path alike.
+void expectTablesFollowReassignedIds(bool delta) {
+    Process process(compile(twoPluginModel(), lowThreshold()));
+    dyncapi::DynCapi dyn(process);
+    ASSERT_EQ(xray::objectIdOf(*dyn.resolveName("a")), 1u);
+
+    ASSERT_TRUE(process.dlcloseDso(0));
+    ASSERT_TRUE(process.dlcloseDso(1));
+    ASSERT_TRUE(process.dlopenDso(1));
+    ASSERT_TRUE(process.dlopenDso(0));
+    const AppModel& model = process.program().model();
+    const xray::PackedId a = *process.packedIdOf(model.indexOf("a"));
+    const xray::PackedId b = *process.packedIdOf(model.indexOf("b"));
+    ASSERT_EQ(xray::objectIdOf(b), 1u);
+    ASSERT_EQ(xray::objectIdOf(a), 2u);
+
+    select::InstrumentationConfig ic;
+    ic.addFunction("a");
+    if (delta) {
+        dyncapi::DeltaStats stats = dyn.applyIcDelta(ic);
+        EXPECT_EQ(stats.functionsPatched, 1u);
+        EXPECT_EQ(stats.requestedUnavailable, 0u);
+    } else {
+        dyncapi::InitStats stats = dyn.applyIc(ic);
+        EXPECT_EQ(stats.patchedFunctions, 1u);
+        EXPECT_EQ(stats.requestedUnavailable, 0u);
+    }
+    EXPECT_TRUE(process.xray().functionPatched(a));
+    EXPECT_FALSE(process.xray().functionPatched(b));
+
+    EXPECT_EQ(dyn.resolveName("a"), a);
+    EXPECT_EQ(dyn.resolveName("b"), b);
+    EXPECT_EQ(dyn.nameOf(a).value_or(""), "a");
+    EXPECT_EQ(dyn.nameOf(b).value_or(""), "b");
+    EXPECT_EQ(dyn.addressOf(a), process.execInfo()[model.indexOf("a")].entryAddress);
+    EXPECT_EQ(dyn.addressOf(b), process.execInfo()[model.indexOf("b")].entryAddress);
+    EXPECT_EQ(dyn.sleddedFunctionCount(), 3u);
+}
+
+TEST(DynCapi, ApplyPolicyFollowsObjectIdsReassignedByDlopen) {
+    expectTablesFollowReassignedIds(/*delta=*/false);
+}
+
+TEST(DynCapi, ApplyPolicyDeltaFollowsObjectIdsReassignedByDlopen) {
+    expectTablesFollowReassignedIds(/*delta=*/true);
+}
+
+TEST(DynCapi, TalpRegionsFollowObjectIdsReassignedByDlopen) {
+    // main -> MPI_Init, then drive: a once, b twice. After libb takes
+    // liba's old object id, a stale region cache would book b's visits on
+    // region "a" and a's on "b".
+    AppModel model = twoPluginModel();
+    AppFunction init;
+    init.name = "MPI_Init";
+    init.mpiOp = MpiOp::Init;
+    model.functions.push_back(init);
+    AppFunction drive = model.functions[0];
+    drive.name = drive.prettyName = "drive";
+    drive.calls = {{1, 1}, {2, 2}};
+    model.functions.push_back(drive);
+    const auto driveIndex = static_cast<std::uint32_t>(model.functions.size() - 1);
+    model.functions[0].calls = {{driveIndex - 1, 1}, {driveIndex, 1}};
+    Process process(compile(model, lowThreshold()));
+    dyncapi::DynCapi dyn(process);
+
+    select::InstrumentationConfig ic;
+    ic.addFunction("a");
+    ic.addFunction("b");
+    mpi::MpiWorld world(1);
+    talp::TalpRuntime talp(world);
+    dyncapi::WorldMpiPort port(world);
+    dyn.applyIc(ic);
+    dyn.attachTalpHandler(talp);
+    mpi::runRanks(world, [&](int rank) {
+        ExecutionEngine engine(process);
+        engine.setMpiPort(&port);
+        engine.run(rank, world.worldSize());
+    });
+
+    ASSERT_TRUE(process.dlcloseDso(0));
+    ASSERT_TRUE(process.dlcloseDso(1));
+    ASSERT_TRUE(process.dlopenDso(1));
+    ASSERT_TRUE(process.dlopenDso(0));
+    dyn.applyIc(ic);
+    mpi::runRanks(world, [&](int rank) {
+        ExecutionEngine engine(process);
+        engine.setMpiPort(&port);
+        engine.runFunction(driveIndex, rank, world.worldSize());
+    });
+
+    ASSERT_TRUE(talp.metrics("a").has_value());
+    ASSERT_TRUE(talp.metrics("b").has_value());
+    EXPECT_EQ(talp.metrics("a")->visits, 2u);
+    EXPECT_EQ(talp.metrics("b")->visits, 4u);
+}
+
+TEST(DynCapi, ClosedObjectsDropOutOfResolution) {
+    Process process(compile(twoPluginModel(), lowThreshold()));
+    dyncapi::DynCapi dyn(process);
+    const xray::PackedId a = *dyn.resolveName("a");
+    ASSERT_TRUE(process.dlcloseDso(0));
+    EXPECT_FALSE(dyn.resolveName("a").has_value());
+    EXPECT_EQ(dyn.addressOf(a), 0u);
+    EXPECT_EQ(dyn.sleddedFunctionCount(), 2u);
+    ASSERT_TRUE(process.dlopenDso(0));
+    EXPECT_EQ(dyn.resolveName("a"),
+              process.packedIdOf(process.program().model().indexOf("a")));
+}
+
 TEST(ProcessSymbolOracle, ReflectsNmVisibility) {
     CompiledProgram program = compile(testModel(), lowThreshold());
     dyncapi::ProcessSymbolOracle oracle(program);

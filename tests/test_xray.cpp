@@ -219,6 +219,43 @@ TEST(XRayRuntime, FunctionAddressReflectsLoadBase) {
     EXPECT_EQ(f.runtime.functionAddress(packId(*id, 99)), 0u);
 }
 
+TEST(XRayRuntime, SledIndexGroupsUnorderedTablesPerFunction) {
+    // Sleds out of function order, an exit listed before its entry, and a
+    // function id (2) with no sleds at all.
+    ObjectRegistration reg;
+    reg.name = "lib.so";
+    reg.loadBase = 0x40000;
+    reg.trampolinesPositionIndependent = true;
+    reg.sledTable.sleds = {
+        {5 * kSledBytes, SledKind::FunctionExit, 3},
+        {0, SledKind::FunctionEnter, 0},
+        {4 * kSledBytes, SledKind::FunctionEnter, 3},
+        {2 * kSledBytes, SledKind::FunctionEnter, 1},
+        {1 * kSledBytes, SledKind::FunctionExit, 0},
+        {3 * kSledBytes, SledKind::TailCallExit, 1},
+    };
+    Fixture f;
+    auto id = f.runtime.registerDso(reg);
+    ASSERT_TRUE(id.has_value());
+    EXPECT_EQ(f.runtime.functionCount(*id), 4u);
+
+    const std::vector<std::uint64_t> addresses = f.runtime.functionAddresses(*id);
+    ASSERT_EQ(addresses.size(), 4u);
+    EXPECT_EQ(addresses[0], 0x40000u);
+    EXPECT_EQ(addresses[1], 0x40000u + 2 * kSledBytes);
+    EXPECT_EQ(addresses[2], 0u);
+    EXPECT_EQ(addresses[3], 0x40000u + 4 * kSledBytes);
+    for (FunctionId fid = 0; fid < addresses.size(); ++fid) {
+        EXPECT_EQ(addresses[fid], f.runtime.functionAddress(packId(*id, fid)));
+    }
+    EXPECT_TRUE(f.runtime.functionAddresses(*id + 1).empty());
+
+    EXPECT_FALSE(f.runtime.patchFunction(packId(*id, 2)));
+    EXPECT_TRUE(f.runtime.patchFunction(packId(*id, 3)));
+    EXPECT_EQ(f.runtime.patchedSledCount(), 2u);
+    EXPECT_EQ(f.runtime.patchedFunctions(), std::vector<PackedId>{packId(*id, 3)});
+}
+
 TEST(XRayRuntime, UnregisterUnpatchesDsoSleds) {
     Fixture f;
     auto id = f.runtime.registerDso(makeReg("lib.so", 2, 0, 0x40000, true));
