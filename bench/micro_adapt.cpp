@@ -1,7 +1,6 @@
-// Micro-benchmarks for the adaptive subsystem: delta repatching against the
-// full unpatch-then-patch reference on IC swaps of varying width, and the
-// budget planner's greedy knapsack (serial vs the sharded lookup phase) at
-// call-graph scale.
+// Micro-benchmarks for the adaptive subsystem: repatching on IC swaps of
+// varying width, and the budget planner's greedy knapsack (serial vs the
+// sharded lookup phase) at call-graph scale.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -56,25 +55,9 @@ std::pair<select::InstrumentationConfig, select::InstrumentationConfig> swapIcs(
     return {std::move(a), std::move(b)};
 }
 
-void BM_FullRepatch(benchmark::State& state) {
-    binsim::Process process(binsim::compile(
-        flatModel(static_cast<std::uint32_t>(state.range(0)))));
-    dyncapi::DynCapi dyn(process);
-    auto [icA, icB] = swapIcs(static_cast<std::uint32_t>(state.range(0)),
-                              static_cast<std::uint32_t>(state.range(1)));
-    std::uint64_t pages = 0;
-    bool flip = false;
-    for (auto _ : state) {
-        dyncapi::InitStats stats = dyn.applyIc(flip ? icB : icA);
-        pages += stats.pagesTouched;
-        flip = !flip;
-    }
-    state.counters["pages/op"] =
-        static_cast<double>(pages) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_FullRepatch)->Args({5000, 16})->Args({5000, 256});
-
-void BM_DeltaRepatch(benchmark::State& state) {
+/// One policy apply per swap (applyIc diffs against the live sleds, so only
+/// the 2*width changed functions flip).
+void BM_Repatch(benchmark::State& state) {
     binsim::Process process(binsim::compile(
         flatModel(static_cast<std::uint32_t>(state.range(0)))));
     dyncapi::DynCapi dyn(process);
@@ -84,14 +67,14 @@ void BM_DeltaRepatch(benchmark::State& state) {
     std::uint64_t pages = 0;
     bool flip = true;
     for (auto _ : state) {
-        dyncapi::DeltaStats stats = dyn.applyIcDelta(flip ? icB : icA);
+        dyncapi::InitStats stats = dyn.applyIc(flip ? icB : icA);
         pages += stats.pagesTouched;
         flip = !flip;
     }
     state.counters["pages/op"] =
         static_cast<double>(pages) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_DeltaRepatch)->Args({5000, 16})->Args({5000, 256});
+BENCHMARK(BM_Repatch)->Args({5000, 16})->Args({5000, 256});
 
 /// Planner fixture per graph size: candidate = every node, model populated
 /// with deterministic synthetic estimates.
@@ -145,7 +128,7 @@ void runPlannerBench(benchmark::State& state, bool parallel) {
     options.threads = parallel ? 0 : 1;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            planner.plan(fixture.candidate, fixture.model, options).ic.size());
+            planner.plan(fixture.candidate, fixture.model, options).policy.size());
     }
     state.SetItemsProcessed(state.iterations() * graph.size());
     if (parallel) {

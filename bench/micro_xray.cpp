@@ -50,7 +50,8 @@ void BM_PatchAll(benchmark::State& state) {
 }
 BENCHMARK(BM_PatchAll)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// Latency of patching one function out of a large object (the applyIc path).
+/// Latency of patching one function out of a large object (a one-entry
+/// patch transaction).
 void BM_PatchSingleFunction(benchmark::State& state) {
     const std::uint32_t functions = 50000;
     CodeMemory memory(static_cast<std::uint64_t>(functions) * 4 * kSledBytes +

@@ -52,18 +52,15 @@ PlanResult BudgetPlanner::plan(const select::InstrumentationConfig& candidate,
                                const OverheadModel& model,
                                const Config& config) const {
     PlanResult result;
-    result.ic.specName = candidate.specName.empty() ? "budget"
-                                                    : candidate.specName + "+budget";
-    result.ic.application = candidate.application;
-    result.policy.specName = result.ic.specName;
-    result.policy.application = result.ic.application;
-
+    result.policy.specName = candidate.specName.empty()
+                                 ? "budget"
+                                 : candidate.specName + "+budget";
+    result.policy.application = candidate.application;
     if (model.epochCount() == 0) {
         // Nothing measured yet: no basis to exclude anything.
-        result.ic.functions = candidate.functions;
-        result.ic.staticIds = candidate.staticIds;
-        result.policy = select::InstrumentationPolicy::fullOf(result.ic);
-        result.policy.specName = result.ic.specName;
+        result.policy.functions = candidate.functions;
+        result.policy.regions.assign(candidate.size(), {select::Tier::Full, {}});
+        result.policy.staticIds = candidate.staticIds;
         result.fullRegions = result.policy.size();
         return result;
     }
@@ -210,8 +207,6 @@ PlanResult BudgetPlanner::plan(const select::InstrumentationConfig& candidate,
             result.policy.staticIds.insert(*staticIt);
         }
     }
-    result.ic.functions = result.policy.functions;
-    result.ic.staticIds = result.policy.staticIds;
 
     for (const Group& group : groups) {
         if (group.included) {

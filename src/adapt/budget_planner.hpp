@@ -51,8 +51,6 @@ struct PlannerOptions {
 };
 
 struct PlanResult {
-    select::InstrumentationConfig ic;     ///< The trimmed patch set (the
-                                          ///< policy's Full + Sampled regions).
     select::InstrumentationPolicy policy; ///< The tiered plan itself.
     std::vector<std::string> excluded;    ///< Dropped candidates, sorted.
     double budgetNs = 0.0;                ///< Absolute budget this plan used.

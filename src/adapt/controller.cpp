@@ -124,14 +124,37 @@ select::SelectionReport Controller::startFromSpec(const std::string& specText,
     return report;
 }
 
+template <typename Apply>
+auto Controller::applyWithRetry(Apply apply, std::size_t& retries) {
+    support::Backoff backoff(config_.retryBackoff, config_.retrySeed);
+    for (std::size_t attempt = 0;; ++attempt) {
+        try {
+            return apply();
+        } catch (const xray::PatchError&) {
+            ++healthStats_.patchFailures;
+            if (attempt == config_.patchRetries) {
+                throw;
+            }
+            ++healthStats_.patchRetries;
+            ++retries;
+            std::this_thread::sleep_for(
+                std::chrono::nanoseconds(backoff.nextDelayNs()));
+        }
+    }
+}
+
 dyncapi::InitStats Controller::start(select::InstrumentationConfig surveyIc) {
-    surveyIc_ = std::move(surveyIc);
-    currentIc_ = surveyIc_;
     // The survey epoch always measures at Full: the model needs unsampled
     // ground truth before the planner can demote anything.
-    currentPolicy_ = select::InstrumentationPolicy::fullOf(currentIc_);
+    select::InstrumentationPolicy survey =
+        select::InstrumentationPolicy::fullOf(surveyIc);
+    std::size_t retries = 0;
+    dyncapi::InitStats stats =
+        applyWithRetry([&] { return dyn_->applyPolicy(survey); }, retries);
+    surveyIc_ = std::move(surveyIc);
+    currentPolicy_ = std::move(survey);
     lastReport_ = EpochReport{};
-    return dyn_->applyPolicy(currentPolicy_);
+    return stats;
 }
 
 EpochReport Controller::epoch(const scorep::ProfileTree& profile,
@@ -152,7 +175,7 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     obs::ScopedSpan modelSpan(spans.model, obs::SpanCategory::Model);
     // One profile walk per epoch, shared by the model and the metric fold.
     const auto regionTotals = profile.regionTotals();
-    model_.observeEpoch(regionTotals, measurement, runtimeNs, &currentIc_);
+    model_.observeEpoch(regionTotals, measurement, runtimeNs, &currentPolicy_);
 
     if (config_.foldVisitMetricsInto != nullptr) {
         // Route the epoch's observed visit counts into the graph as
@@ -202,13 +225,11 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     // the planner's (apparently miscalibrated) model at all.
     obs::ScopedSpan planSpan(spans.plan, obs::SpanCategory::Plan);
     select::InstrumentationPolicy target;
-    select::InstrumentationConfig targetIc;
     if (health_ == EpochHealth::SafeMode) {
         target = safeModePolicy();
-        targetIc = target.patchSet();
         report.budgetNs = config_.budgetFraction * runtimeNs;
         report.plannedProbeCostNs = 0.0;
-        report.icSize = targetIc.size();
+        report.icSize = target.size();
         report.fullRegions = target.countOf(select::Tier::Full);
         report.sampledRegions = 0;
     } else {
@@ -219,11 +240,10 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
         PlanResult plan = planner_.plan(surveyIc_, model_, config_);
         report.budgetNs = plan.budgetNs;
         report.plannedProbeCostNs = plan.plannedProbeCostNs;
-        report.icSize = plan.ic.size();
+        report.icSize = plan.policy.size();
         report.fullRegions = plan.fullRegions;
         report.sampledRegions = plan.sampledRegions;
         target = std::move(plan.policy);
-        targetIc = std::move(plan.ic);
     }
 
     select::PolicyDelta delta = select::policyDiff(currentPolicy_, target);
@@ -235,9 +255,11 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     planSpan.end();
 
     obs::ScopedSpan patchSpan(spans.patch, obs::SpanCategory::Patch);
-    if (applyWithRetry(target, report)) {
+    try {
+        report.patch =
+            applyWithRetry([&] { return dyn_->applyPolicyDelta(target); },
+                           report.retriesThisEpoch);
         currentPolicy_ = std::move(target);
-        currentIc_ = std::move(targetIc);
         if (report.retriesThisEpoch > 0) {
             if (health_ == EpochHealth::Healthy) {
                 health_ = EpochHealth::Degraded;
@@ -247,7 +269,7 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
             // Degraded: the planner must prove a full epoch clean first.
             health_ = EpochHealth::Healthy;
         }
-    } else {
+    } catch (const xray::PatchError&) {
         // Retries exhausted. The transaction rolled every attempt back, so
         // the live sled/tier state still IS currentPolicy_ — the last
         // known-good. Re-apply it as a consistency pass (normally a no-op
@@ -275,7 +297,6 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
             try {
                 select::InstrumentationPolicy safe = safeModePolicy();
                 report.patch = dyn_->applyPolicyDelta(safe);
-                currentIc_ = safe.patchSet();
                 currentPolicy_ = std::move(safe);
             } catch (const xray::PatchError&) {
                 ++healthStats_.patchFailures;  // Keep last-good; next epoch retries.
@@ -303,27 +324,6 @@ select::InstrumentationPolicy Controller::safeModePolicy() const {
     keepIc.specName = "safe-mode";
     keepIc.assignFunctions(config_.keep);
     return select::InstrumentationPolicy::fullOf(keepIc);
-}
-
-bool Controller::applyWithRetry(const select::InstrumentationPolicy& target,
-                                EpochReport& report) {
-    support::Backoff backoff(config_.retryBackoff, config_.retrySeed);
-    for (std::size_t attempt = 0; attempt <= config_.patchRetries; ++attempt) {
-        try {
-            report.patch = dyn_->applyPolicyDelta(target);
-            return true;
-        } catch (const xray::PatchError&) {
-            ++healthStats_.patchFailures;
-            if (attempt == config_.patchRetries) {
-                return false;
-            }
-            ++healthStats_.patchRetries;
-            ++report.retriesThisEpoch;
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(backoff.nextDelayNs()));
-        }
-    }
-    return false;
 }
 
 void Controller::updateKillSwitch(EpochReport& report) {
@@ -451,16 +451,16 @@ EpochReport Controller::adoptPolicy(
         // Diagnose, not just count: the region-level diff between what this
         // controller was running and what the world converged on.
         report.divergence = select::policyDiff(currentPolicy_, converged);
-        EpochReport applied = report;
-        applied.retriesThisEpoch = 0;
-        if (applyWithRetry(converged, applied)) {
+        std::size_t retries = 0;
+        try {
+            report.patch = applyWithRetry(
+                [&] { return dyn_->applyPolicyDelta(converged); }, retries);
             currentPolicy_ = converged;
-            currentIc_ = currentPolicy_.patchSet();
-            report.patch = applied.patch;
+        } catch (const xray::PatchError&) {
+            // Retries exhausted: this controller stays on its last-good
+            // policy — Degraded, to be reconciled again next epoch.
         }
-        // On exhausted retries this controller stays on its last-good policy
-        // — Degraded, to be reconciled again next epoch.
-        if (applied.retriesThisEpoch > 0 ||
+        if (retries > 0 ||
             currentPolicy_.fingerprint() != report.policyFingerprint) {
             health_ = EpochHealth::Degraded;
             report.health = health_;

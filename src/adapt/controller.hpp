@@ -4,16 +4,16 @@
 //
 //          +-----------(next epoch)------------+
 //          v                                   |
-//   [measure epoch] -> [OverheadModel] -> [BudgetPlanner] -> [applyIcDelta]
+//   [measure epoch] -> [OverheadModel] -> [BudgetPlanner] -> [applyPolicyDelta]
 //    profile, runtime    EWMA per-region        greedy knapsack    flip only
 //                        visits/excl. time      under the budget   changed sleds
 //
 // The controller replaces the one-shot refineIc threshold rule with a closed
 // feedback loop: every epoch re-plans over the full survey candidate set, so
 // regions excluded earlier are re-admitted when their smoothed cost drops —
-// the instrumentation breathes with the workload. Repatching applies only
-// the IC delta; the epochs after the first touch a handful of code pages
-// where a full applyIc re-flips every sled page in the process.
+// the instrumentation breathes with the workload. Every apply flips only the
+// difference to the live sled state, so the epochs after the first touch a
+// handful of code pages.
 #pragma once
 
 #include <cstdint>
@@ -158,13 +158,16 @@ public:
     Controller& operator=(const Controller&) = delete;
 
     /// Runs `specText` through the session and installs the result as the
-    /// survey IC (full repatch — the reference path; every later epoch
-    /// patches deltas only).
+    /// survey IC (see start()).
     select::SelectionReport startFromSpec(const std::string& specText,
                                           const std::string& specName = "survey",
                                           select::SelectionOptions base = {});
 
-    /// Installs a ready-made survey IC via full applyIc.
+    /// Installs a ready-made survey IC at Full through applyPolicy, retried
+    /// like an epoch's patch. The survey, policy and report are committed
+    /// only once the apply lands; when the retries run out the last
+    /// xray::PatchError propagates and controller and sleds are unchanged
+    /// (healthStats() still counts the failed attempts).
     dyncapi::InitStats start(select::InstrumentationConfig surveyIc);
 
     /// One epoch: folds the measured profile into the model, re-plans over
@@ -211,8 +214,7 @@ public:
     const EpochReport& lastReport() const { return lastReport_; }
     EpochHealth health() const { return health_; }
     const HealthStats& healthStats() const { return healthStats_; }
-    const select::InstrumentationConfig& currentIc() const { return currentIc_; }
-    /// The tiered policy currently applied (currentIc() is its patch set).
+    /// The tiered policy currently applied.
     const select::InstrumentationPolicy& currentPolicy() const {
         return currentPolicy_;
     }
@@ -227,11 +229,12 @@ private:
     /// construction as low as this controller can go.
     select::InstrumentationPolicy safeModePolicy() const;
 
-    /// Applies `target` with up to config_.patchRetries backoff-spaced
-    /// re-applies on PatchError. Returns true and fills report.patch on
-    /// success; false once the attempts are exhausted.
-    bool applyWithRetry(const select::InstrumentationPolicy& target,
-                        EpochReport& report);
+    /// Returns `apply()`, re-called up to config_.patchRetries times,
+    /// backoff-spaced, while it throws PatchError; failures and retries are
+    /// counted into healthStats_ and `retries`. Rethrows the last PatchError
+    /// once the attempts are exhausted.
+    template <typename Apply>
+    auto applyWithRetry(Apply apply, std::size_t& retries);
 
     /// Advances the kill-switch streaks for one epoch's measured ratio and
     /// performs the SafeMode trip / re-arm transitions.
@@ -243,7 +246,6 @@ private:
     OverheadModel model_;
     BudgetPlanner planner_;
     select::InstrumentationConfig surveyIc_;
-    select::InstrumentationConfig currentIc_;
     select::InstrumentationPolicy currentPolicy_;
     EpochReport lastReport_;
 

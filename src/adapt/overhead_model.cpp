@@ -16,15 +16,15 @@ double ewma(double previous, double observed, double alpha, bool first) {
 void OverheadModel::observeEpoch(const scorep::ProfileTree& profile,
                                  const scorep::Measurement& measurement,
                                  double epochRuntimeNs,
-                                 const select::InstrumentationConfig* activeIc) {
-    observeEpoch(profile.regionTotals(), measurement, epochRuntimeNs, activeIc);
+                                 const select::InstrumentationPolicy* activePolicy) {
+    observeEpoch(profile.regionTotals(), measurement, epochRuntimeNs, activePolicy);
 }
 
 void OverheadModel::observeEpoch(
     const std::unordered_map<scorep::RegionHandle,
                              scorep::ProfileTree::RegionTotals>& regionTotals,
     const scorep::Measurement& measurement, double epochRuntimeNs,
-    const select::InstrumentationConfig* activeIc) {
+    const select::InstrumentationPolicy* activePolicy) {
     // Aggregate the epoch per region name (several handles can share a name
     // when measurements are recreated across epochs, so fold by name).
     // Integer accumulation first, double conversion once per name: the sums
@@ -72,12 +72,12 @@ void OverheadModel::observeEpoch(
             static_cast<double>(totals.exclusiveNs),
             static_cast<double>(totals.suppressed)};
     }
-    observeEpoch(byName, epochRuntimeNs, activeIc);
+    observeEpoch(byName, epochRuntimeNs, activePolicy);
 }
 
 void OverheadModel::observeEpoch(
     const std::map<std::string, RegionObservation>& byName,
-    double epochRuntimeNs, const select::InstrumentationConfig* activeIc) {
+    double epochRuntimeNs, const select::InstrumentationPolicy* activePolicy) {
     const auto& observed = byName;
     double epochCostNs = 0.0;
     for (const auto& [name, obs] : observed) {
@@ -107,8 +107,8 @@ void OverheadModel::observeEpoch(
 
     // Active regions without profile data observed zero this epoch; inactive
     // regions are unobservable and keep their frozen estimate.
-    if (activeIc != nullptr) {
-        for (const std::string& name : activeIc->functions) {
+    if (activePolicy != nullptr) {
+        for (const std::string& name : activePolicy->functions) {
             if (observed.count(name) != 0) {
                 continue;
             }

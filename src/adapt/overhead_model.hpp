@@ -9,8 +9,8 @@
 // a single bursty epoch cannot thrash the instrumented set, following the
 // adaptive-sampling feedback designs of Mertz & Nunes.
 //
-// Regions carried in the active IC but absent from an epoch's profile
-// observed a true zero (they did not run); regions *outside* the active IC
+// Regions carried in the active policy but absent from an epoch's profile
+// observed a true zero (they did not run); regions *outside* the policy
 // are unobservable — their probes are unpatched — so their estimates stay
 // frozen at the last measured value, which is the best predictor available
 // should the planner re-admit them.
@@ -88,13 +88,13 @@ public:
         : options_{config.perEventCostNs, config.ewmaAlpha},
           gateCostNs_(config.gateCostNs) {}
 
-    /// Folds one epoch's merged profile into the estimates. `activeIc`
+    /// Folds one epoch's merged profile into the estimates. `activePolicy`
     /// names the regions that were instrumented during the epoch (see the
     /// freeze semantics above); nullptr treats every known region as active.
     void observeEpoch(const scorep::ProfileTree& profile,
                       const scorep::Measurement& measurement,
                       double epochRuntimeNs,
-                      const select::InstrumentationConfig* activeIc = nullptr);
+                      const select::InstrumentationPolicy* activePolicy = nullptr);
 
     /// Same, over pre-aggregated per-region totals — for callers that need
     /// the totals themselves (the controller's metric folding) so the
@@ -103,7 +103,7 @@ public:
         const std::unordered_map<scorep::RegionHandle,
                                  scorep::ProfileTree::RegionTotals>& regionTotals,
         const scorep::Measurement& measurement, double epochRuntimeNs,
-        const select::InstrumentationConfig* activeIc = nullptr);
+        const select::InstrumentationPolicy* activePolicy = nullptr);
 
     /// One region-name's worth of epoch observation, for callers that
     /// aggregate regions themselves. `suppressed` is the epoch's
@@ -124,7 +124,7 @@ public:
     /// one) — bit-identical budgets, bit-identical plans.
     void observeEpoch(const std::map<std::string, RegionObservation>& byName,
                       double epochRuntimeNs,
-                      const select::InstrumentationConfig* activeIc = nullptr);
+                      const select::InstrumentationPolicy* activePolicy = nullptr);
 
     std::size_t epochCount() const { return epochs_; }
     const ModelOptions& options() const { return options_; }

@@ -45,8 +45,9 @@ RegistryCounters& counters() {
             [](std::vector<obs::Sample>& out) {
                 auto counter = [&out](const char* name,
                                       const std::atomic<std::uint64_t>& v) {
-                    out.push_back({name, obs::MetricKind::Counter,
-                                   static_cast<double>(
+                    out.push_back({.name = name,
+                                   .kind = obs::MetricKind::Counter,
+                                   .value = static_cast<double>(
                                        v.load(std::memory_order_relaxed))});
                 };
                 counter("capi_csr_full_builds_total", c.fullBuilds);

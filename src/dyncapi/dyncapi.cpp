@@ -259,44 +259,25 @@ std::uint64_t DynCapi::addressOf(xray::PackedId id) const {
 }
 
 InitStats DynCapi::applyPolicy(const select::InstrumentationPolicy& policy) {
-    syncObjectIds();
+    const DeltaStats delta = applyDiff(policy);
     InitStats stats;
     stats.symbolResolutionSeconds = resolutionSeconds_;
     stats.objectsScanned = objectsScanned_;
     stats.sleddedFunctions = sledded_;
     stats.unresolvableFunctions = unresolvable_;
-    stats.requestedFunctions = policy.functions.size();
-
-    support::Timer timer;
-    xray::XRayRuntime& xr = process_->xray();
-    const std::uint64_t pagesBefore = process_->memory().pagesMadeWritable();
-    xr.unpatchAll();
-    // Reference path: per-function patching, exactly the unpatch-everything-
-    // then-patch discipline applyIc always had. Sampled tags ride behind in
-    // one zero-page retier pass.
-    std::vector<xray::XRayRuntime::TieredFlip> retier;
-    for (std::size_t i = 0; i < policy.functions.size(); ++i) {
-        const std::string& name = policy.functions[i];
-        std::optional<xray::PackedId> pid = resolvePolicyEntry(policy, name);
-        if (pid.has_value() && xr.patchFunction(*pid)) {
-            ++stats.patchedFunctions;
-            if (policy.regions[i].tier == select::Tier::Sampled) {
-                ++stats.sampledFunctions;
-                retier.push_back({*pid, xray::XRayRuntime::kSampledTier});
-            }
-        } else {
-            ++stats.requestedUnavailable;
-        }
-    }
-    if (!retier.empty()) {
-        xr.patchDeltaTiered({}, {}, retier);
-    }
-    stats.pagesTouched = process_->memory().pagesMadeWritable() - pagesBefore;
-    stats.patchSeconds = timer.elapsedSec();
+    stats.requestedFunctions = delta.requestedFunctions;
+    stats.patchedFunctions = delta.functionsPatched + delta.functionsUnchanged +
+                             delta.functionsPromoted + delta.functionsDemoted;
+    stats.requestedUnavailable = delta.requestedUnavailable;
+    stats.pagesTouched = delta.pagesTouched;
+    stats.sampledFunctions = delta.sampledFunctions;
+    stats.patchSeconds = delta.patchSeconds;
     stats.totalSeconds = stats.symbolResolutionSeconds + stats.patchSeconds;
-    currentPolicy_ = policy;
-    syncGates(currentPolicy_);
     return stats;
+}
+
+DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy) {
+    return applyDiff(policy);
 }
 
 InitStats DynCapi::applyIc(const select::InstrumentationConfig& ic) {
@@ -312,7 +293,7 @@ std::optional<xray::PackedId> DynCapi::resolvePolicyEntry(
     return lookupName(name);
 }
 
-DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy) {
+DeltaStats DynCapi::applyDiff(const select::InstrumentationPolicy& policy) {
     syncObjectIds();
     DeltaStats stats;
     stats.requestedFunctions = policy.functions.size();
@@ -320,59 +301,74 @@ DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy
     support::Timer timer;
     xray::XRayRuntime& xr = process_->xray();
 
-    // Requested (function, tier) set, resolved to live packed ids. An entry
-    // that resolves but has no live sled (its object was dlclosed) counts as
-    // unavailable here, matching applyPolicy's failed patchFunction.
-    std::unordered_map<xray::PackedId, std::uint8_t> target;
+    // Requested (function, tier) set, resolved to live packed ids and sorted
+    // by id. An entry that resolves but has no live sled (its object was
+    // dlclosed) counts as unavailable.
+    using Flip = xray::XRayRuntime::TieredFlip;
+    std::vector<Flip> target;
     target.reserve(policy.functions.size());
     for (std::size_t i = 0; i < policy.functions.size(); ++i) {
         std::optional<xray::PackedId> pid =
             resolvePolicyEntry(policy, policy.functions[i]);
-        if (pid.has_value() && xr.functionAddress(*pid) != 0) {
-            target[*pid] = policy.regions[i].tier == select::Tier::Sampled
-                               ? xray::XRayRuntime::kSampledTier
-                               : xray::XRayRuntime::kFullTier;
+        if (pid.has_value() && addressOf(*pid) != 0) {
+            target.push_back({*pid, policy.regions[i].tier == select::Tier::Sampled
+                                        ? xray::XRayRuntime::kSampledTier
+                                        : xray::XRayRuntime::kFullTier});
         } else {
             ++stats.requestedUnavailable;
         }
     }
+    std::stable_sort(target.begin(), target.end(), [](const Flip& a, const Flip& b) {
+        return a.function < b.function;
+    });
+    // Names sharing one static id request it once; the last name wins, as
+    // when the names are applied one by one.
+    target.erase(target.begin(),
+                 std::unique(target.rbegin(), target.rend(),
+                             [](const Flip& a, const Flip& b) {
+                                 return a.function == b.function;
+                             })
+                     .base());
+    for (const Flip& flip : target) {
+        stats.sampledFunctions += flip.tierTag == xray::XRayRuntime::kSampledTier;
+    }
 
-    // The currently-patched set and its tiers are read from the runtime
-    // itself, so state the previous policy never saw — a re-registered DSO
-    // whose sleds reset to NOP, or sleds another caller flipped — diffs
-    // correctly. Same-set tier changes become zero-page retier requests.
+    // Merge-join against the currently-patched set and its tiers, read from
+    // the runtime itself (also sorted by id), so state the previous policy
+    // never saw — a re-registered DSO whose sleds reset to NOP, or sleds
+    // another caller flipped — diffs correctly. Same-set tier changes become
+    // zero-page retier requests.
+    std::vector<Flip> toPatch;
     std::vector<xray::PackedId> toUnpatch;
-    std::vector<xray::XRayRuntime::TieredFlip> toRetier;
+    std::vector<Flip> toRetier;
+    auto want = target.begin();
     for (const auto& [pid, liveTag] : xr.patchedFunctionTiers()) {
-        auto it = target.find(pid);
-        if (it == target.end()) {
+        for (; want != target.end() && want->function < pid; ++want) {
+            toPatch.push_back(*want);
+        }
+        if (want == target.end() || want->function != pid) {
             toUnpatch.push_back(pid);
             continue;
         }
-        if (it->second != liveTag) {
-            toRetier.push_back({pid, it->second});
-            if (it->second == xray::XRayRuntime::kFullTier) {
-                ++stats.functionsPromoted;
-            } else {
-                ++stats.functionsDemoted;
-            }
-        } else {
+        if (want->tierTag == liveTag) {
             ++stats.functionsUnchanged;
+        } else if (want->tierTag == xray::XRayRuntime::kFullTier) {
+            ++stats.functionsPromoted;
+            toRetier.push_back(*want);
+        } else {
+            ++stats.functionsDemoted;
+            toRetier.push_back(*want);
         }
-        target.erase(it);
+        ++want;
     }
-    std::vector<xray::XRayRuntime::TieredFlip> toPatch;
-    toPatch.reserve(target.size());
-    for (const auto& [pid, tag] : target) {
-        toPatch.push_back({pid, tag});
-    }
+    toPatch.insert(toPatch.end(), want, target.end());
 
     xray::XRayRuntime::DeltaPatchStats patch =
         xr.patchDeltaTiered(toPatch, toUnpatch, toRetier);
     // Per-list unavailability: a toPatch entry that went stale between the
-    // pre-check above and patchDelta (dlclose raced us) is a failed request,
-    // like applyPolicy's failed patchFunction; a stale toUnpatch entry is
-    // simply already effectively unpatched and not a policy request at all.
+    // pre-check above and the transaction (dlclose raced us) is a failed
+    // request; a stale toUnpatch entry is simply already effectively
+    // unpatched and not a policy request at all.
     stats.functionsPatched = toPatch.size() - patch.unavailablePatch;
     stats.functionsUnpatched = toUnpatch.size() - patch.unavailableUnpatch;
     stats.requestedUnavailable += patch.unavailablePatch;
@@ -381,10 +377,6 @@ DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy
     currentPolicy_ = policy;
     syncGates(currentPolicy_);
     return stats;
-}
-
-DeltaStats DynCapi::applyIcDelta(const select::InstrumentationConfig& ic) {
-    return applyPolicyDelta(select::InstrumentationPolicy::fullOf(ic));
 }
 
 void DynCapi::syncGates(const select::InstrumentationPolicy& policy) {
@@ -422,10 +414,17 @@ InitStats DynCapi::patchAll() {
     stats.pagesTouched = patched.pagesMadeWritable;
     stats.patchSeconds = timer.elapsedSec();
     stats.totalSeconds = stats.symbolResolutionSeconds + stats.patchSeconds;
+    // Every sled is now Full: no cached policy, no sampling gate describes it.
+    currentPolicy_ = {};
+    syncGates(currentPolicy_);
     return stats;
 }
 
-void DynCapi::unpatchAll() { process_->xray().unpatchAll(); }
+void DynCapi::unpatchAll() {
+    process_->xray().unpatchAll();
+    currentPolicy_ = {};
+    syncGates(currentPolicy_);
+}
 
 void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
     detachHandler();

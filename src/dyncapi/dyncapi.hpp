@@ -6,7 +6,8 @@
 //     loader's memory map and cross-checked against __xray_function_address;
 //     hidden symbols cannot be resolved this way and are counted (Sec. VI-B);
 //  2. patches exactly the sleds selected by the IC passed via the
-//     environment (here: an InstrumentationConfig object or file);
+//     environment (here: an InstrumentationConfig object or file), as one
+//     transaction diffed against the live sled state;
 //  3. installs an event handler forwarding entry/exit events to the chosen
 //     backend: the generic __cyg_profile interface, Score-P, or TALP.
 //
@@ -25,8 +26,8 @@
 // first free slot). Each object image is resolved once, the first time it
 // is registered; the id-keyed tables are re-pointed at those resolutions
 // whenever Process::loadGeneration() has moved. That check runs on the
-// control-plane calls — applyPolicy, applyPolicyDelta, applyIc(Delta),
-// patchAll, resolveName, the two counts and handler attach — never on the
+// control-plane calls — applyPolicy, applyPolicyDelta, applyIc, patchAll,
+// resolveName, the two counts and handler attach — never on the
 // per-event addressOf/nameOf path. This is exact because a reopened DSO's
 // sleds stay NOP until the next apply, so no event can carry one of its
 // new ids before the tables follow it. Like every control-plane call,
@@ -72,7 +73,7 @@ struct InitStats {
     std::size_t sampledFunctions = 0;        ///< Patched at the Sampled tier.
 };
 
-/// Result of an incremental IC/policy swap (applyIcDelta/applyPolicyDelta).
+/// Result of a policy apply as the diff it ran (applyPolicyDelta).
 struct DeltaStats {
     double patchSeconds = 0.0;
     std::size_t requestedFunctions = 0;   ///< IC entries.
@@ -83,6 +84,7 @@ struct DeltaStats {
     std::uint64_t pagesTouched = 0;       ///< Code pages made writable.
     std::size_t functionsPromoted = 0;    ///< Sampled -> Full, sleds untouched.
     std::size_t functionsDemoted = 0;     ///< Full -> Sampled, sleds untouched.
+    std::size_t sampledFunctions = 0;     ///< Live at the Sampled tier after.
 };
 
 class DynCapi {
@@ -97,38 +99,30 @@ public:
     DynCapi& operator=(const DynCapi&) = delete;
 
     // --- patching ---------------------------------------------------------
-    /// THE configuration entry point: applies a tiered policy by unpatching
-    /// everything, patching every Full and Sampled region (the tier rides
-    /// the patch request), and syncing the sampling gates of the attached
-    /// measurement backend. Safe to call repeatedly at quiescent points
-    /// (the runtime-adaptable workflow). Uses staticIds entries when
-    /// present, names otherwise.
+    /// THE configuration entry point. Diffs the requested (function, tier)
+    /// set against the runtime's *actual* sled + tier state and flips only
+    /// the difference in one XRayRuntime::patchDeltaTiered transaction;
+    /// tier-only transitions (Full <-> Sampled) retag without touching a
+    /// code page. Then syncs the attached measurement's sampling gates. Sound
+    /// across dlopen/dlclose because the current set is read from the sleds,
+    /// not from a cached previous policy. Safe to call repeatedly at
+    /// quiescent points (the runtime-adaptable workflow). Uses staticIds
+    /// entries when present, names otherwise.
+    ///
+    /// Failure contract: the transaction is all-or-nothing. If it fails, the
+    /// rolled-back xray::PatchError propagates out of this call *before*
+    /// currentPolicy_ or the measurement gates are updated — a failed apply
+    /// commits nothing, and currentPolicy() still names the live (last
+    /// successfully applied) policy. The adaptive controller relies on
+    /// exactly this to retry or revert (see adapt::Controller).
     InitStats applyPolicy(const select::InstrumentationPolicy& policy);
 
-    /// Applies a policy incrementally: diffs the requested (function, tier)
-    /// set against the runtime's *actual* sled + tier state and flips only
-    /// the difference, leaving the process in exactly the state
-    /// applyPolicy(policy) would. Tier-only transitions (Full <-> Sampled)
-    /// update the runtime tag and the measurement gate without touching any
-    /// code page. Sound across dlopen/dlclose because the current set is
-    /// read from the sleds, not from a cached previous policy. This is what
-    /// makes the adaptive controller's epoch loop cheap (see src/adapt/).
-    ///
-    /// Failure contract: the underlying patch transaction is all-or-nothing
-    /// (see XRayRuntime::patchDeltaTiered). If it fails, the rolled-back
-    /// xray::PatchError propagates out of this call *before* currentPolicy_
-    /// or the measurement gates are updated — a failed apply commits
-    /// nothing, and currentPolicy() still names the live (last successfully
-    /// applied) policy. The adaptive controller relies on exactly this to
-    /// retry or revert (see adapt::Controller).
+    /// applyPolicy, reporting the diff it ran instead of the Tinit totals
+    /// (what the adaptive controller's epoch loop logs, see src/adapt/).
     DeltaStats applyPolicyDelta(const select::InstrumentationPolicy& policy);
 
-    /// Binary-set overload: the Full|Off degenerate case, forwarded through
-    /// applyPolicy.
+    /// Binary-set overload: the Full|Off degenerate case.
     InitStats applyIc(const select::InstrumentationConfig& ic);
-
-    /// Binary-set overload of applyPolicyDelta.
-    DeltaStats applyIcDelta(const select::InstrumentationConfig& ic);
 
     /// The policy most recently applied (gate specs are re-synced from it
     /// when a measurement backend attaches). Patch state itself is always
@@ -137,7 +131,9 @@ public:
         return currentPolicy_;
     }
 
-    /// Patches every sled (the `xray full` configuration).
+    /// Patches every sled (the `xray full` configuration) / unpatches
+    /// every sled, through the non-transactional whole-object path. Both
+    /// reset currentPolicy() to empty and clear the sampling gates.
     InitStats patchAll();
     void unpatchAll();
 
@@ -206,6 +202,10 @@ private:
     void syncObjectIds() const;
     void mapObjects() const;
     std::optional<xray::PackedId> lookupName(std::string_view name) const;
+    /// The one apply routine behind applyPolicy/applyPolicyDelta: resolve,
+    /// diff against patchedFunctionTiers(), one transaction, then commit
+    /// currentPolicy_ and the gates.
+    DeltaStats applyDiff(const select::InstrumentationPolicy& policy);
     std::optional<xray::PackedId> resolvePolicyEntry(
         const select::InstrumentationPolicy& policy, const std::string& name) const;
     /// Rewrites the attached measurement's sampling gates to match

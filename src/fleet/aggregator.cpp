@@ -55,8 +55,7 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
       obsEventsAtLastEpoch_(obs::TraceRecorder::global().recordedEvents()) {
     // The fleet converges from the same starting point every client's
     // controller starts from: the survey policy, fully instrumented.
-    currentIc_ = surveyIc_;
-    currentPolicy_ = select::InstrumentationPolicy::fullOf(currentIc_);
+    currentPolicy_ = select::InstrumentationPolicy::fullOf(surveyIc_);
 
     static std::atomic<std::uint64_t> nextSeq{0};
     const std::uint64_t seq = nextSeq.fetch_add(1, std::memory_order_relaxed);
@@ -137,7 +136,6 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     lastBudgetNs_ = snap.lastBudgetNs;
     lastWithinBudget_ = snap.lastWithinBudget;
     currentPolicy_ = snap.currentPolicy;
-    currentIc_ = currentPolicy_.patchSet();
 
     regionNames_ = snap.regionNames;
     for (std::size_t i = 0; i < regionNames_.size(); ++i) {
@@ -229,7 +227,8 @@ Aggregator::Session Aggregator::connect() {
     base.budgetNs = lastBudgetNs_;
     base.withinBudget = lastWithinBudget_;
     sendPolicyTo(it->second, base);
-    return Session{it->first, it->second.policyChannel.get()};
+    return Session{.clientId = it->first,
+                   .policyChannel = it->second.policyChannel.get()};
 }
 
 Aggregator::Session Aggregator::resume(std::uint64_t clientId) {
@@ -634,7 +633,7 @@ void Aggregator::closeEpoch(bool timedOut) {
             auto it = suppressedByName.find(name);
             return it == suppressedByName.end() ? std::uint64_t{0} : it->second;
         }();
-        // Untouched regions stay out of the fold: the model's activeIc decay
+        // Untouched regions stay out of the fold: the model's active-policy decay
         // (regions instrumented but silent this epoch) and freeze semantics
         // (regions not instrumented at all) both key off absence.
         if (dVisits == 0 && dExclusive == 0 && suppressed == 0) {
@@ -646,7 +645,7 @@ void Aggregator::closeEpoch(bool timedOut) {
     }
     lastTotals_ = std::move(totalsNow);
 
-    model_.observeEpoch(byName, worldRuntimeNs, &currentIc_);
+    model_.observeEpoch(byName, worldRuntimeNs, &currentPolicy_);
     // Self-observability billing, as Controller::epoch charges it.
     const std::uint64_t obsEventsNow =
         obs::TraceRecorder::global().recordedEvents();
@@ -688,15 +687,13 @@ void Aggregator::closeEpoch(bool timedOut) {
         keepIc.assignFunctions(options_.config.keep);
         budgetNs = options_.config.budgetFraction * worldRuntimeNs;
         currentPolicy_ = select::InstrumentationPolicy::fullOf(keepIc);
-        currentIc_ = currentPolicy_.patchSet();
     } else {
         adapt::PlanResult plan =
             planner_.plan(surveyIc_, model_, options_.config);
         budgetNs = plan.budgetNs;
         currentPolicy_ = std::move(plan.policy);
-        currentIc_ = std::move(plan.ic);
     }
-    planSpan.setArg(currentIc_.size());
+    planSpan.setArg(currentPolicy_.size());
     planSpan.end();
 
     ++epochsCompleted_;

@@ -155,7 +155,7 @@ public:
         std::uint64_t clientId = 0;
         Channel* policyChannel = nullptr;
         bool resumed = false;
-        ResumeState resume;
+        ResumeState resume{};
     };
 
     /// `graph` must outlive the aggregator (the planner's SCC grouping).
@@ -301,7 +301,6 @@ private:
     adapt::OverheadModel model_;
     adapt::BudgetPlanner planner_;
     select::InstrumentationConfig surveyIc_;
-    select::InstrumentationConfig currentIc_;
     select::InstrumentationPolicy currentPolicy_;
     std::uint64_t epochsCompleted_ = 0;
     std::uint64_t incarnation_ = 1;

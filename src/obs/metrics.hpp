@@ -47,7 +47,7 @@ struct Sample {
     double value = 0.0;        ///< Counter count / gauge value / histogram sum.
     std::uint64_t count = 0;   ///< Histogram observation count.
     /// Histogram buckets as (upper bound, cumulative count), last = +Inf.
-    std::vector<std::pair<double, std::uint64_t>> buckets;
+    std::vector<std::pair<double, std::uint64_t>> buckets{};
 };
 
 /// Monotonic counter cell. Padded to its own cacheline so unrelated metrics

@@ -32,15 +32,15 @@ Measurement::Measurement(MeasurementOptions options)
         [this](std::vector<obs::Sample>& out) {
             const std::string base = "{m=\"" + std::to_string(instanceId()) +
                                      "\"}";
-            out.push_back({"capi_scorep_probe_events" + base,
-                           obs::MetricKind::Counter,
-                           static_cast<double>(probeEvents())});
-            out.push_back({"capi_scorep_filtered_events" + base,
-                           obs::MetricKind::Counter,
-                           static_cast<double>(filteredEvents())});
-            out.push_back({"capi_scorep_suppressed_events" + base,
-                           obs::MetricKind::Counter,
-                           static_cast<double>(suppressedEvents())});
+            out.push_back({.name = "capi_scorep_probe_events" + base,
+                           .kind = obs::MetricKind::Counter,
+                           .value = static_cast<double>(probeEvents())});
+            out.push_back({.name = "capi_scorep_filtered_events" + base,
+                           .kind = obs::MetricKind::Counter,
+                           .value = static_cast<double>(filteredEvents())});
+            out.push_back({.name = "capi_scorep_suppressed_events" + base,
+                           .kind = obs::MetricKind::Counter,
+                           .value = static_cast<double>(suppressedEvents())});
         });
 }
 

@@ -62,7 +62,7 @@ struct InstrumentationConfig {
 /// Set difference of two ICs (function names only; both lists are sorted, so
 /// this is one linear merge pass). The adaptive controller logs this per
 /// epoch — the patch/unpatch sets themselves are diffed against live sled
-/// state by DynCapi::applyIcDelta, not here.
+/// state by DynCapi::applyPolicy, not here.
 struct IcDelta {
     std::vector<std::string> added;    ///< In `to` but not `from`.
     std::vector<std::string> removed;  ///< In `from` but not `to`.

@@ -121,8 +121,9 @@ SelectorCache::SelectorCache(std::size_t maxEntries)
             const Stats totals = stats();
             const std::string base = "{cache=\"" + std::to_string(seq) + "\"}";
             auto counter = [&out](std::string name, std::uint64_t value) {
-                out.push_back({std::move(name), obs::MetricKind::Counter,
-                               static_cast<double>(value)});
+                out.push_back({.name = std::move(name),
+                               .kind = obs::MetricKind::Counter,
+                               .value = static_cast<double>(value)});
             };
             counter("capi_select_cache_hits_total" + base, totals.hits);
             counter("capi_select_cache_misses_total" + base, totals.misses);
@@ -134,9 +135,9 @@ SelectorCache::SelectorCache(std::size_t maxEntries)
                     totals.survivals);
             counter("capi_select_cache_evictions_total" + base,
                     totals.evictions);
-            out.push_back({"capi_select_cache_entries" + base,
-                           obs::MetricKind::Gauge,
-                           static_cast<double>(totals.entries)});
+            out.push_back({.name = "capi_select_cache_entries" + base,
+                           .kind = obs::MetricKind::Gauge,
+                           .value = static_cast<double>(totals.entries)});
             for (std::size_t i = 0; i < totals.perShard.size(); ++i) {
                 const ShardStats& shard = totals.perShard[i];
                 const std::string labels = "{cache=\"" + std::to_string(seq) +
@@ -148,9 +149,9 @@ SelectorCache::SelectorCache(std::size_t maxEntries)
                         shard.survivals);
                 counter("capi_select_cache_shard_invalidations_total" + labels,
                         shard.invalidations);
-                out.push_back({"capi_select_cache_shard_entries" + labels,
-                               obs::MetricKind::Gauge,
-                               static_cast<double>(shard.entries)});
+                out.push_back({.name = "capi_select_cache_shard_entries" + labels,
+                               .kind = obs::MetricKind::Gauge,
+                               .value = static_cast<double>(shard.entries)});
             }
         });
 }

@@ -35,14 +35,14 @@ Registry& registry() {
             [](std::vector<obs::Sample>& out) {
                 std::lock_guard<std::mutex> lock(instance.mutex);
                 for (const auto& [name, site] : instance.sites) {
-                    out.push_back({"capi_fault_hits_total{site=\"" + name +
-                                       "\"}",
-                                   obs::MetricKind::Counter,
-                                   static_cast<double>(site.counters.hits)});
-                    out.push_back({"capi_fault_fires_total{site=\"" + name +
-                                       "\"}",
-                                   obs::MetricKind::Counter,
-                                   static_cast<double>(site.counters.fires)});
+                    out.push_back(
+                        {.name = "capi_fault_hits_total{site=\"" + name + "\"}",
+                         .kind = obs::MetricKind::Counter,
+                         .value = static_cast<double>(site.counters.hits)});
+                    out.push_back(
+                        {.name = "capi_fault_fires_total{site=\"" + name + "\"}",
+                         .kind = obs::MetricKind::Counter,
+                         .value = static_cast<double>(site.counters.fires)});
                 }
             });
     (void)collectorId;

@@ -256,90 +256,12 @@ PatchStats XRayRuntime::unpatchObject(ObjectId id) {
     return applyToObject(objects_[id], id, /*patch=*/false);
 }
 
-namespace {
-
-/// Patches or unpatches the sleds of exactly one function: protection is
-/// flipped for the affected pages only.
-struct SingleFunctionPatcher {
-    CodeMemory& memory;
-
-    void apply(const std::vector<std::uint64_t>& addresses) const {
-        if (addresses.empty()) return;
-        std::uint64_t lo = *std::min_element(addresses.begin(), addresses.end());
-        std::uint64_t hi = *std::max_element(addresses.begin(), addresses.end()) +
-                           kSledBytes;
-        memory.mprotect(lo, hi - lo, true);
-    }
-
-    void seal(const std::vector<std::uint64_t>& addresses) const {
-        if (addresses.empty()) return;
-        std::uint64_t lo = *std::min_element(addresses.begin(), addresses.end());
-        std::uint64_t hi = *std::max_element(addresses.begin(), addresses.end()) +
-                           kSledBytes;
-        memory.mprotect(lo, hi - lo, false);
-    }
-};
-
-}  // namespace
-
 bool XRayRuntime::patchFunction(PackedId function) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ObjectId objId = objectIdOf(function);
-    FunctionId fnId = functionIdOf(function);
-    const ObjectRecord* obj = findObject(objId);
-    if (obj == nullptr || fnId >= obj->sledsOfFunction.size()) {
-        return false;
-    }
-    std::vector<std::uint64_t> addresses;
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        addresses.push_back(runtimeAddress(*obj, obj->sleds.sleds[sledIndex].address));
-    }
-    if (addresses.empty()) {
-        return false;
-    }
-    SingleFunctionPatcher patcher{*memory_};
-    patcher.apply(addresses);
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        writeSled(*obj, objId, obj->sleds.sleds[sledIndex], /*patch=*/true);
-    }
-    patcher.seal(addresses);
-    objects_[objId].tierOfFunction[fnId] = kFullTier;
-    return true;
+    return patchDeltaTiered({{function, kFullTier}}, {}, {}).unavailablePatch == 0;
 }
 
 bool XRayRuntime::unpatchFunction(PackedId function) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ObjectId objId = objectIdOf(function);
-    FunctionId fnId = functionIdOf(function);
-    const ObjectRecord* obj = findObject(objId);
-    if (obj == nullptr || fnId >= obj->sledsOfFunction.size()) {
-        return false;
-    }
-    std::vector<std::uint64_t> addresses;
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        addresses.push_back(runtimeAddress(*obj, obj->sleds.sleds[sledIndex].address));
-    }
-    if (addresses.empty()) {
-        return false;
-    }
-    SingleFunctionPatcher patcher{*memory_};
-    patcher.apply(addresses);
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        writeSled(*obj, objId, obj->sleds.sleds[sledIndex], /*patch=*/false);
-    }
-    patcher.seal(addresses);
-    objects_[objId].tierOfFunction[fnId] = kFullTier;
-    return true;
-}
-
-XRayRuntime::DeltaPatchStats XRayRuntime::patchDelta(
-    const std::vector<PackedId>& toPatch, const std::vector<PackedId>& toUnpatch) {
-    std::vector<TieredFlip> tiered;
-    tiered.reserve(toPatch.size());
-    for (PackedId pid : toPatch) {
-        tiered.push_back({pid, kFullTier});
-    }
-    return patchDeltaTiered(tiered, toUnpatch, {});
+    return patchDeltaTiered({}, {function}, {}).unavailableUnpatch == 0;
 }
 
 XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
@@ -360,11 +282,13 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
     // since the delta was computed (dlclose raced the planner) is not an
     // error, it is simply no longer patchable.
     struct Flip {
+        ObjectId object;
         FunctionId function;
         bool patch;
         std::uint8_t tierTag;
     };
-    std::vector<std::vector<Flip>> flipsOfObject(kMaxObjectId + 1);
+    std::vector<Flip> flips;
+    flips.reserve(toPatch.size() + toUnpatch.size());
     auto classify = [&](PackedId pid, bool patch, std::uint8_t tierTag,
                         std::size_t& unavailable) {
         ObjectId objId = objectIdOf(pid);
@@ -375,7 +299,7 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
             ++unavailable;
             return;
         }
-        flipsOfObject[objId].push_back({fnId, patch, tierTag});
+        flips.push_back({objId, fnId, patch, tierTag});
     };
     for (const TieredFlip& flip : toPatch) {
         classify(flip.function, /*patch=*/true, flip.tierTag,
@@ -383,6 +307,12 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
     }
     for (PackedId pid : toUnpatch) {
         classify(pid, /*patch=*/false, kFullTier, stats.unavailableUnpatch);
+    }
+    // Object by object, each object's flips in request order (callers that
+    // pass id-sorted lists skip the sort).
+    auto byObject = [](const Flip& a, const Flip& b) { return a.object < b.object; };
+    if (!std::is_sorted(flips.begin(), flips.end(), byObject)) {
+        std::stable_sort(flips.begin(), flips.end(), byObject);
     }
 
     // Transaction journal: every cell and tier tag is recorded before it is
@@ -422,10 +352,12 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
 
     const std::uint64_t writableBefore = memory_->pagesMadeWritable();
     try {
-        for (ObjectId objId = 0; objId <= kMaxObjectId; ++objId) {
-            if (flipsOfObject[objId].empty()) {
-                continue;
-            }
+        for (auto group = flips.begin(); group != flips.end();) {
+            const ObjectId objId = group->object;
+            const auto groupEnd = std::find_if(
+                group, flips.end(), [&](const Flip& f) { return f.object != objId; });
+            const std::span<const Flip> flipsOfObject(group, groupEnd);
+            group = groupEnd;
             ObjectRecord& obj = objects_[objId];
 
             // Coalesce the affected sleds' byte spans into contiguous page
@@ -434,7 +366,7 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
             // untouched ranges along (which is exactly what applyToObject's
             // single lo..hi span does).
             std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
-            for (const Flip& flip : flipsOfObject[objId]) {
+            for (const Flip& flip : flipsOfObject) {
                 for (std::uint32_t sledIndex : obj.sledsOfFunction[flip.function]) {
                     std::uint64_t addr =
                         runtimeAddress(obj, obj.sleds.sleds[sledIndex].address);
@@ -459,7 +391,7 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
                 // opened runs need re-sealing on rollback.
                 touchedRuns.emplace_back(first, last);
             }
-            for (const Flip& flip : flipsOfObject[objId]) {
+            for (const Flip& flip : flipsOfObject) {
                 for (std::uint32_t sledIndex : obj.sledsOfFunction[flip.function]) {
                     const SledEntry& sled = obj.sleds.sleds[sledIndex];
                     std::uint64_t addr = runtimeAddress(obj, sled.address);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "dyncapi/dyncapi.hpp"
 #include "dyncapi/mpi_port.hpp"
 #include "mpisim/mpi_world.hpp"
+#include "reference_patch.hpp"
 #include "scorepsim/cyg_adapter.hpp"
 #include "scorepsim/symbol_resolver.hpp"
 #include "support/executor.hpp"
@@ -109,12 +111,14 @@ TEST(OverheadModel, ActiveMissingDecaysInactiveFrozen) {
     FlatProfile epoch1{m};
     epoch1.add("a", 800, 1000);
     epoch1.add("b", 400, 1000);
-    select::InstrumentationConfig active = icOf({"a", "b"});
+    select::InstrumentationPolicy active =
+        select::InstrumentationPolicy::fullOf(icOf({"a", "b"}));
     model.observeEpoch(epoch1.tree, m, 1e9, &active);
 
     // Next epoch "a" stays instrumented but does not run; "b" was unpatched.
     FlatProfile epoch2{m};
-    select::InstrumentationConfig onlyA = icOf({"a"});
+    select::InstrumentationPolicy onlyA =
+        select::InstrumentationPolicy::fullOf(icOf({"a"}));
     model.observeEpoch(epoch2.tree, m, 1e9, &onlyA);
     EXPECT_DOUBLE_EQ(model.estimate("a")->visits, 400.0);  // decayed toward 0
     EXPECT_DOUBLE_EQ(model.estimate("b")->visits, 400.0);  // frozen
@@ -252,7 +256,7 @@ TEST(BudgetPlanner, EmptyModelKeepsEveryCandidate) {
     adapt::BudgetPlanner planner(graph);
     adapt::OverheadModel model;
     adapt::PlanResult plan = planner.plan(icOf({"kernel", "noisy"}), model);
-    EXPECT_EQ(plan.ic.size(), 2u);
+    EXPECT_EQ(plan.policy.size(), 2u);
     EXPECT_TRUE(plan.excluded.empty());
 }
 
@@ -272,9 +276,10 @@ TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
     popts.budgetFraction = 0.05;  // 5% of 8e8 app ns = 4e7 ns budget
     adapt::PlanResult plan = planner.plan(icOf({"kernel", "noisy", "main"}),
                                           model, popts);
-    EXPECT_TRUE(plan.ic.contains("kernel"));
-    EXPECT_TRUE(plan.ic.contains("main"));  // unmeasured: free, kept
-    EXPECT_FALSE(plan.ic.contains("noisy"));
+    EXPECT_NE(plan.policy.tierOf("kernel"), select::Tier::Off);
+    // "main" is unmeasured: free, kept.
+    EXPECT_NE(plan.policy.tierOf("main"), select::Tier::Off);
+    EXPECT_EQ(plan.policy.tierOf("noisy"), select::Tier::Off);
     ASSERT_EQ(plan.excluded.size(), 1u);
     EXPECT_EQ(plan.excluded[0], "noisy");
     EXPECT_LE(plan.plannedProbeCostNs, plan.budgetNs);
@@ -295,7 +300,7 @@ TEST(BudgetPlanner, KeepListOverridesBudget) {
     popts.budgetFraction = 0.05;
     popts.keep = {"noisy"};
     adapt::PlanResult plan = planner.plan(icOf({"noisy"}), model, popts);
-    EXPECT_TRUE(plan.ic.contains("noisy"));
+    EXPECT_NE(plan.policy.tierOf("noisy"), select::Tier::Off);
     EXPECT_TRUE(plan.excluded.empty());
 }
 
@@ -326,7 +331,8 @@ TEST(BudgetPlanner, DemotesHotRegionBeforeEvicting) {
     ASSERT_NE(noisy, nullptr);
     EXPECT_EQ(noisy->sampling.everyN, 64u);
     EXPECT_TRUE(plan.excluded.empty());
-    EXPECT_TRUE(plan.ic.contains("noisy"));  // demoted, still in the patch set
+    // Demoted, still in the patch set.
+    EXPECT_NE(plan.policy.tierOf("noisy"), select::Tier::Off);
     EXPECT_EQ(plan.fullRegions, 2u);
     EXPECT_EQ(plan.sampledRegions, 1u);
     EXPECT_LE(plan.plannedProbeCostNs, plan.budgetNs);
@@ -337,7 +343,6 @@ TEST(BudgetPlanner, DemotesHotRegionBeforeEvicting) {
     adapt::PlanResult binary =
         planner.plan(icOf({"kernel", "noisy", "main"}), model, config);
     EXPECT_EQ(binary.policy.tierOf("noisy"), select::Tier::Off);
-    EXPECT_FALSE(binary.ic.contains("noisy"));
     ASSERT_EQ(binary.excluded.size(), 1u);
     EXPECT_EQ(binary.excluded[0], "noisy");
     EXPECT_EQ(binary.sampledRegions, 0u);
@@ -375,14 +380,14 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
     adapt::PlanResult plan = planner.plan(icOf({"a", "b"}), model, popts);
     // The group's combined cost exceeds the budget: both go, not just "a" —
     // aggregated recursive statements must stay consistent.
-    EXPECT_FALSE(plan.ic.contains("a"));
-    EXPECT_FALSE(plan.ic.contains("b"));
+    EXPECT_EQ(plan.policy.tierOf("a"), select::Tier::Off);
+    EXPECT_EQ(plan.policy.tierOf("b"), select::Tier::Off);
 
     // And the keep list re-admits the whole group, not one member.
     popts.keep = {"b"};
     adapt::PlanResult kept = planner.plan(icOf({"a", "b"}), model, popts);
-    EXPECT_TRUE(kept.ic.contains("a"));
-    EXPECT_TRUE(kept.ic.contains("b"));
+    EXPECT_NE(kept.policy.tierOf("a"), select::Tier::Off);
+    EXPECT_NE(kept.policy.tierOf("b"), select::Tier::Off);
 }
 
 TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
@@ -399,13 +404,15 @@ TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
 
     adapt::PlannerOptions popts;
     popts.budgetFraction = 0.05;
-    EXPECT_FALSE(planner.plan(icOf({"noisy"}), model, popts).ic.contains("noisy"));
+    EXPECT_EQ(planner.plan(icOf({"noisy"}), model, popts).policy.tierOf("noisy"),
+              select::Tier::Off);
 
     // A much longer epoch: the same probe cost now fits the 5% budget, and
     // the frozen estimate lets the planner re-admit the region.
     FlatProfile epoch2{m};
     model.observeEpoch(epoch2.tree, m, 1e11);
-    EXPECT_TRUE(planner.plan(icOf({"noisy"}), model, popts).ic.contains("noisy"));
+    EXPECT_NE(planner.plan(icOf({"noisy"}), model, popts).policy.tierOf("noisy"),
+              select::Tier::Off);
 }
 
 TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
@@ -450,7 +457,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     serial.threads = 1;
     adapt::PlanResult serialPlan = planner.plan(candidate, model, serial);
     ASSERT_FALSE(serialPlan.excluded.empty());
-    ASSERT_GT(serialPlan.ic.size(), 0u);
+    ASSERT_GT(serialPlan.policy.size(), 0u);
 
     // Explicit pools so the sharded lookup phase runs even on single-core
     // hosts (Executor's shared pool is hardware width there: 1 thread).
@@ -459,7 +466,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
         adapt::PlannerOptions parallel = serial;
         parallel.pool = &pool;
         adapt::PlanResult parallelPlan = planner.plan(candidate, model, parallel);
-        EXPECT_EQ(parallelPlan.ic.functions, serialPlan.ic.functions)
+        EXPECT_EQ(parallelPlan.policy.functions, serialPlan.policy.functions)
             << "threads=" << threads;
         EXPECT_EQ(parallelPlan.excluded, serialPlan.excluded);
         EXPECT_DOUBLE_EQ(parallelPlan.plannedProbeCostNs,
@@ -538,14 +545,14 @@ TEST(Controller, ConvergesAndReAdmitsOnSyntheticApp) {
     options.model.perEventCostNs = 100.0;
     adapt::Controller controller(graph, dyn, options);
     controller.start(adapt::surveyOfDefinedFunctions(graph));
-    EXPECT_TRUE(controller.currentIc().contains("noisy"));
+    EXPECT_NE(controller.currentPolicy().tierOf("noisy"), select::Tier::Off);
 
     auto survey = runEpoch(process, dyn, options.model.perEventCostNs);
     adapt::EpochReport first =
         controller.epoch(survey->profile, survey->measurement, survey->runtimeNs);
     EXPECT_GT(first.measuredOverheadRatio, 0.05);  // survey blows the budget
-    EXPECT_FALSE(controller.currentIc().contains("noisy"));
-    EXPECT_TRUE(controller.currentIc().contains("kernel"));
+    EXPECT_EQ(controller.currentPolicy().tierOf("noisy"), select::Tier::Off);
+    EXPECT_NE(controller.currentPolicy().tierOf("kernel"), select::Tier::Off);
     EXPECT_GT(first.patch.functionsUnpatched, 0u);
 
     auto trimmed = runEpoch(process, dyn, options.model.perEventCostNs);
@@ -580,7 +587,7 @@ TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {
     adapt::Controller controller(graph, dyn, options);
     dyncapi::InitStats surveyStats = controller.start(adapt::surveyOfDefinedFunctions(graph));
     ASSERT_GT(surveyStats.patchedFunctions, 100u);
-    fullDyn.applyIc(controller.currentIc());
+    reference::applyByFullRepatch(fullProcess, fullDyn, controller.currentPolicy());
 
     bool sawStrictlySmallerDelta = false;
     while (!controller.done()) {
@@ -588,8 +595,9 @@ TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {
         adapt::EpochReport report =
             controller.epoch(epoch->profile, epoch->measurement, epoch->runtimeNs);
 
-        // Reference: the same IC applied via full repatch on the twin.
-        dyncapi::InitStats full = fullDyn.applyIc(controller.currentIc());
+        // Reference: the same policy applied via full repatch on the twin.
+        reference::FullApplyStats full = reference::applyByFullRepatch(
+            fullProcess, fullDyn, controller.currentPolicy());
         EXPECT_LT(report.patch.pagesTouched, full.pagesTouched)
             << "epoch " << report.epoch;
         sawStrictlySmallerDelta = true;
@@ -602,8 +610,10 @@ TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {
     EXPECT_TRUE(sawStrictlySmallerDelta);
     EXPECT_LE(controller.lastReport().measuredOverheadRatio, 0.05);
     // The noisy hot helpers went; the kernels' ancestors stayed visible.
-    EXPECT_FALSE(controller.currentIc().contains("CalcElemVolume"));
-    EXPECT_TRUE(controller.currentIc().contains("LagrangeLeapFrog"));
+    EXPECT_EQ(controller.currentPolicy().tierOf("CalcElemVolume"),
+              select::Tier::Off);
+    EXPECT_NE(controller.currentPolicy().tierOf("LagrangeLeapFrog"),
+              select::Tier::Off);
 }
 
 TEST(Controller, LuleshTieredHoldsHotRegionsAtSampled) {
@@ -639,18 +649,24 @@ TEST(Controller, LuleshTieredHoldsHotRegionsAtSampled) {
 
     // The point of the tier: at least one hot region was demoted and HELD
     // at Sampled through convergence instead of being evicted, and every
-    // sampled region is still in the patch set.
+    // sampled region is still patched.
     const select::InstrumentationPolicy& policy = controller.currentPolicy();
     EXPECT_GE(policy.countOf(select::Tier::Sampled), 1u);
     for (std::size_t i = 0; i < policy.functions.size(); ++i) {
         if (policy.regions[i].tier == select::Tier::Sampled) {
-            EXPECT_TRUE(controller.currentIc().contains(policy.functions[i]))
+            EXPECT_NE(controller.currentPolicy().tierOf(policy.functions[i]),
+                      select::Tier::Off)
+                << policy.functions[i];
+            std::optional<xray::PackedId> pid =
+                dyn.resolveName(policy.functions[i]);
+            ASSERT_TRUE(pid.has_value()) << policy.functions[i];
+            EXPECT_TRUE(process.xray().functionPatched(*pid))
                 << policy.functions[i];
         }
     }
     // The binary run of this scenario evicts the hot helpers outright; the
     // tiered run must end with a larger live patch set than the binary one.
-    EXPECT_EQ(controller.currentIc().size(), policy.size());
+    EXPECT_EQ(controller.currentPolicy().patchSet().size(), policy.size());
 }
 
 TEST(Controller, EpochAllRanksConvergesWorldOnOneIc) {
@@ -796,7 +812,8 @@ TEST(Controller, EpochAllRanksRepatchesDivergentRanksToConvergedPolicy) {
         EXPECT_EQ(ctls[r]->currentPolicy().fingerprint(),
                   reports[r].policyFingerprint)
             << "rank " << rank;
-        EXPECT_FALSE(ctls[r]->currentIc().contains("noisy")) << "rank " << rank;
+        EXPECT_EQ(ctls[r]->currentPolicy().tierOf("noisy"), select::Tier::Off)
+            << "rank " << rank;
         // ...and actually re-applied it: the cached policy matches the live
         // sled state exactly (a re-apply is a complete no-op).
         dyncapi::DeltaStats noop =

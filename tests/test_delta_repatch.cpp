@@ -1,22 +1,33 @@
-// Property test for DynCapi::applyIcDelta: over an arbitrary IC sequence,
-// delta repatching must leave the process's sled/patch state bit-identical
-// to the full unpatch-everything-then-patch applyIc reference path —
-// including across a mid-sequence dlclose/dlopen of a DSO, which resets the
-// re-registered object's sleds to NOP behind the previous IC's back.
+// Property tests for DynCapi's policy apply (applyPolicy/applyPolicyDelta,
+// one live-state diff): over an arbitrary IC or policy sequence the process's
+// sled/patch state must stay bit-identical to the unpatch-everything-then-
+// patch-each oracle in reference_patch.hpp — including across a mid-sequence
+// dlclose/dlopen of a DSO, which resets the re-registered object's sleds to
+// NOP behind the previous policy's back.
+//
+// The CAPI_FAULT_SEED environment variable (used by the CI fault matrix) is
+// XOR-mixed into every parameterized seed, as in test_fault.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "binsim/compiler.hpp"
 #include "binsim/process.hpp"
 #include "dyncapi/dyncapi.hpp"
+#include "reference_patch.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace capi;
 using namespace capi::binsim;
+
+std::uint64_t envFaultSeed() {
+    const char* env = std::getenv("CAPI_FAULT_SEED");
+    return env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
+}
 
 /// Executable + two DSOs, `perObject` sledded functions each.
 AppModel patchModel(std::uint32_t perObject) {
@@ -81,7 +92,7 @@ TEST_P(DeltaRepatchProperty, SequenceMatchesFullRepatchBitForBit) {
         names.push_back(fn.name);
     }
 
-    support::SplitMix64 rng(GetParam());
+    support::SplitMix64 rng(GetParam() ^ envFaultSeed());
     for (std::size_t round = 0; round < kRounds; ++round) {
         // Mid-sequence DSO lifecycle on BOTH processes: close liba at round
         // 10, reopen it at round 20. Reopening re-registers the object with
@@ -103,15 +114,18 @@ TEST_P(DeltaRepatchProperty, SequenceMatchesFullRepatchBitForBit) {
             }
         }
 
-        dyncapi::DeltaStats delta = deltaDyn.applyIcDelta(ic);
-        dyncapi::InitStats full = fullDyn.applyIc(ic);
+        const select::InstrumentationPolicy policy =
+            select::InstrumentationPolicy::fullOf(ic);
+        dyncapi::DeltaStats delta = deltaDyn.applyPolicyDelta(policy);
+        reference::FullApplyStats full =
+            reference::applyByFullRepatch(fullProcess, fullDyn, policy);
         ASSERT_NO_FATAL_FAILURE(expectSameSledState(deltaProcess, fullProcess))
             << "round " << round;
         ASSERT_EQ(delta.requestedUnavailable, full.requestedUnavailable)
             << "round " << round;
 
         // Re-applying the same IC must be a no-op for the delta path.
-        dyncapi::DeltaStats again = deltaDyn.applyIcDelta(ic);
+        dyncapi::DeltaStats again = deltaDyn.applyPolicyDelta(policy);
         EXPECT_EQ(again.functionsPatched, 0u);
         EXPECT_EQ(again.functionsUnpatched, 0u);
         EXPECT_EQ(again.pagesTouched, 0u);
@@ -128,8 +142,9 @@ class TieredDeltaRepatchProperty : public ::testing::TestWithParam<std::uint64_t
 
 /// The tiered generalization: random Full/Sampled/Off policies, including
 /// pure tier transitions on an unchanged patch set and a mid-sequence DSO
-/// lifecycle. Delta must match the full reference in sled state AND in the
-/// runtime's per-function tier tags.
+/// lifecycle. applyPolicyDelta and applyPolicy (on a third process) must
+/// match the full reference in sled state AND in the runtime's per-function
+/// tier tags, and applyPolicy's Tinit counts must match the reference's.
 TEST_P(TieredDeltaRepatchProperty, SequenceMatchesFullRepatchWithTiers) {
     constexpr std::uint32_t kPerObject = 40;
     constexpr std::size_t kRounds = 30;
@@ -139,8 +154,10 @@ TEST_P(TieredDeltaRepatchProperty, SequenceMatchesFullRepatchWithTiers) {
     CompiledProgram compiled = compile(model, copts);
 
     Process deltaProcess(compiled);
+    Process applyProcess(compiled);
     Process fullProcess(compiled);
     dyncapi::DynCapi deltaDyn(deltaProcess);
+    dyncapi::DynCapi applyDyn(applyProcess);
     dyncapi::DynCapi fullDyn(fullProcess);
 
     std::vector<std::string> names;
@@ -148,15 +165,15 @@ TEST_P(TieredDeltaRepatchProperty, SequenceMatchesFullRepatchWithTiers) {
         names.push_back(fn.name);
     }
 
-    support::SplitMix64 rng(GetParam());
+    support::SplitMix64 rng(GetParam() ^ envFaultSeed());
     for (std::size_t round = 0; round < kRounds; ++round) {
-        if (round == 10) {
-            ASSERT_TRUE(deltaProcess.dlcloseDso(0));
-            ASSERT_TRUE(fullProcess.dlcloseDso(0));
-        }
-        if (round == 20) {
-            ASSERT_TRUE(deltaProcess.dlopenDso(0));
-            ASSERT_TRUE(fullProcess.dlopenDso(0));
+        for (Process* process : {&deltaProcess, &applyProcess, &fullProcess}) {
+            if (round == 10) {
+                ASSERT_TRUE(process->dlcloseDso(0));
+            }
+            if (round == 20) {
+                ASSERT_TRUE(process->dlopenDso(0));
+            }
         }
 
         select::InstrumentationPolicy policy;
@@ -180,13 +197,23 @@ TEST_P(TieredDeltaRepatchProperty, SequenceMatchesFullRepatchWithTiers) {
         }
 
         dyncapi::DeltaStats delta = deltaDyn.applyPolicyDelta(policy);
-        dyncapi::InitStats full = fullDyn.applyPolicy(policy);
-        ASSERT_NO_FATAL_FAILURE(expectSameSledState(deltaProcess, fullProcess))
-            << "round " << round;
-        ASSERT_EQ(deltaProcess.xray().patchedFunctionTiers(),
-                  fullProcess.xray().patchedFunctionTiers())
-            << "round " << round;
+        dyncapi::InitStats applied = applyDyn.applyPolicy(policy);
+        reference::FullApplyStats full =
+            reference::applyByFullRepatch(fullProcess, fullDyn, policy);
+        for (Process* process : {&deltaProcess, &applyProcess}) {
+            ASSERT_NO_FATAL_FAILURE(expectSameSledState(*process, fullProcess))
+                << "round " << round;
+            ASSERT_EQ(process->xray().patchedFunctionTiers(),
+                      fullProcess.xray().patchedFunctionTiers())
+                << "round " << round;
+        }
         ASSERT_EQ(delta.requestedUnavailable, full.requestedUnavailable)
+            << "round " << round;
+        ASSERT_EQ(applied.requestedUnavailable, full.requestedUnavailable)
+            << "round " << round;
+        ASSERT_EQ(applied.patchedFunctions, full.patchedFunctions)
+            << "round " << round;
+        ASSERT_EQ(applied.sampledFunctions, full.sampledFunctions)
             << "round " << round;
 
         // Re-applying the same policy must be a complete no-op: no sled
@@ -252,10 +279,11 @@ TEST(DeltaRepatch, TouchesOnlyChangedPages) {
 
     // Drop one function: the delta flips one function's sleds, so it can
     // touch at most the pages under those sleds — strictly fewer than the
-    // full path, which re-protects every sled page in the process.
+    // first apply, which opened every sled page in the process.
     select::InstrumentationConfig narrowed = broad;
     narrowed.functions.erase(narrowed.functions.begin());
-    dyncapi::DeltaStats delta = dyn.applyIcDelta(narrowed);
+    dyncapi::DeltaStats delta =
+        dyn.applyPolicyDelta(select::InstrumentationPolicy::fullOf(narrowed));
     EXPECT_EQ(delta.functionsUnpatched, 1u);
     EXPECT_EQ(delta.functionsPatched, 0u);
     EXPECT_LE(delta.pagesTouched, 4u);  // one function's sleds, worst case

@@ -151,6 +151,41 @@ TEST(DynCapi, PatchAllMatchesSleddedCount) {
     EXPECT_EQ(process.xray().patchedSledCount(), 8u);
 }
 
+TEST(DynCapi, PatchAllAndUnpatchAllResetTheCachedPolicy) {
+    Process process(compile(testModel(), lowThreshold()));
+    dyncapi::DynCapi dyn(process);
+    scorep::Measurement measurement;
+    scorep::CygProfileAdapter adapter(
+        measurement, scorep::SymbolResolver::withSymbolInjection(process));
+    dyn.attachCygHandler(adapter);
+
+    select::InstrumentationPolicy policy;
+    policy.setRegion("Amul", {select::Tier::Sampled, {8, 0}});
+    policy.setRegion("solve", {select::Tier::Full, {}});
+    dyn.applyPolicy(policy);
+    const xray::PackedId amul = *dyn.resolveName("Amul");
+    const scorep::RegionHandle amulRegion = measurement.defineRegion("Amul");
+    ASSERT_EQ(process.xray().functionTierTag(amul),
+              xray::XRayRuntime::kSampledTier);
+    ASSERT_EQ(measurement.regionSampling(amulRegion).first, 8u);
+
+    // patchAll makes every sled Full: the cached policy and the gate must
+    // not survive it, not even through a re-attach that re-syncs the gates.
+    dyn.patchAll();
+    EXPECT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
+    EXPECT_EQ(dyn.currentPolicy().size(), 0u);
+    EXPECT_EQ(measurement.regionSampling(amulRegion).first, 1u);
+    dyn.attachCygHandler(adapter);
+    EXPECT_EQ(measurement.regionSampling(amulRegion).first, 1u);
+
+    dyn.applyPolicy(policy);
+    ASSERT_EQ(measurement.regionSampling(amulRegion).first, 8u);
+    dyn.unpatchAll();
+    EXPECT_EQ(process.xray().patchedSledCount(), 0u);
+    EXPECT_EQ(dyn.currentPolicy().size(), 0u);
+    EXPECT_EQ(measurement.regionSampling(amulRegion).first, 1u);
+}
+
 TEST(DynCapi, CygBackendProducesProfile) {
     Process process(compile(testModel(), lowThreshold()));
     dyncapi::DynCapi dyn(process);
@@ -251,7 +286,8 @@ void expectTablesFollowReassignedIds(bool delta) {
     select::InstrumentationConfig ic;
     ic.addFunction("a");
     if (delta) {
-        dyncapi::DeltaStats stats = dyn.applyIcDelta(ic);
+        dyncapi::DeltaStats stats =
+            dyn.applyPolicyDelta(select::InstrumentationPolicy::fullOf(ic));
         EXPECT_EQ(stats.functionsPatched, 1u);
         EXPECT_EQ(stats.requestedUnavailable, 0u);
     } else {

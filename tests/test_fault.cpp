@@ -1,9 +1,10 @@
 // Fault-injection framework + self-healing tests: deterministic seed-driven
-// fault schedules, bounded jittered backoff, the transactional
-// patchDelta/patchDeltaTiered rollback property (sled and tier state is
-// never torn, every injected failure is reported exactly once), and the
-// adaptive controller's retry / revert-to-last-good / overhead-kill-switch
-// state machine, including a randomized fault-storm soak.
+// fault schedules, bounded jittered backoff, the transactional policy apply
+// rollback property (applyPolicy, applyPolicyDelta and Controller::start all
+// run one patchDeltaTiered transaction: sled and tier state is never torn,
+// every injected failure is reported exactly once), and the adaptive
+// controller's retry / revert-to-last-good / overhead-kill-switch state
+// machine, including a randomized fault-storm soak.
 //
 // The CAPI_FAULT_SEED environment variable (used by the CI fault matrix) is
 // XOR-mixed into every parameterized seed, so each matrix leg replays a
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -260,7 +262,9 @@ protected:
 /// sequences (including a mid-sequence dlclose/dlopen) must NEVER leave torn
 /// state — after every transaction, failed or not, the faulty process is
 /// bit-identical in sleds AND tier tags to a fault-free reference — and
-/// every injected failure surfaces as exactly one PatchError.
+/// every injected failure surfaces as exactly one PatchError. Rounds
+/// alternate applyPolicy and applyPolicyDelta, and rounds 5, 15 and 25 are
+/// Controller::start surveys; a failed round commits no policy anywhere.
 TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
     constexpr std::uint32_t kPerObject = 40;
     constexpr std::size_t kRounds = 30;
@@ -274,6 +278,9 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
     Process referenceProcess(compiled);
     dyncapi::DynCapi faultyDyn(faultyProcess);
     dyncapi::DynCapi referenceDyn(referenceProcess);
+    const cg::CallGraph graph = cg::MetaCgBuilder().build(model.toSourceModel());
+    adapt::Config startConfig;
+    startConfig.patchRetries = 0;  // one attempt: fires and errors pair 1:1
 
     std::vector<std::string> names;
     for (const AppFunction& fn : model.functions) {
@@ -297,6 +304,23 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
 
         select::InstrumentationPolicy policy =
             randomTieredPolicy(names, rng, round);
+        const bool startRound = round % 10 == 5;
+        std::optional<adapt::Controller> controller;
+        if (startRound) {
+            controller.emplace(graph, faultyDyn, startConfig);
+            // The survey epoch measures at Full.
+            policy = select::InstrumentationPolicy::fullOf(policy.patchSet());
+        }
+        auto apply = [&] {
+            if (startRound) {
+                controller->start(policy.patchSet());
+            } else if (round % 2 == 0) {
+                faultyDyn.applyPolicy(policy);
+            } else {
+                faultyDyn.applyPolicyDelta(policy);
+            }
+        };
+        const std::uint64_t livePolicy = faultyDyn.currentPolicy().fingerprint();
 
         // One deterministic fault position per round, swept over the whole
         // transaction by afterHits: early rounds hit the first mprotect or
@@ -312,7 +336,7 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
 
         bool threw = false;
         try {
-            faultyDyn.applyPolicyDelta(policy);
+            apply();
         } catch (const xray::PatchError&) {
             threw = true;
         }
@@ -327,19 +351,30 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
         if (threw) {
             ++failedRounds;
             // Rolled back: the faulty process must equal the reference,
-            // which never saw this round's policy.
+            // which never saw this round's policy, and nothing committed it.
             ASSERT_NO_FATAL_FAILURE(
                 expectSameSledState(faultyProcess, referenceProcess))
                 << "torn state after rollback, round " << round;
             ASSERT_EQ(faultyProcess.xray().patchedFunctionTiers(),
                       referenceProcess.xray().patchedFunctionTiers())
                 << "torn tiers after rollback, round " << round;
-            // Retry without faults must succeed from the rolled-back state.
-            ASSERT_NO_THROW(faultyDyn.applyPolicyDelta(policy))
+            ASSERT_EQ(faultyDyn.currentPolicy().fingerprint(), livePolicy)
                 << "round " << round;
+            if (startRound) {
+                ASSERT_EQ(controller->currentPolicy().size(), 0u);
+                ASSERT_EQ(controller->surveyIc().size(), 0u);
+            }
+            // Retry without faults must succeed from the rolled-back state.
+            ASSERT_NO_THROW(apply()) << "round " << round;
         } else {
             ++cleanRounds;
         }
+        if (startRound) {
+            ASSERT_EQ(controller->currentPolicy().fingerprint(),
+                      policy.fingerprint());
+        }
+        ASSERT_EQ(faultyDyn.currentPolicy().fingerprint(), policy.fingerprint())
+            << "round " << round;
         referenceDyn.applyPolicyDelta(policy);
         ASSERT_NO_FATAL_FAILURE(
             expectSameSledState(faultyProcess, referenceProcess))
@@ -357,6 +392,77 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
 // the CI fault matrix re-runs them under three more CAPI_FAULT_SEED values).
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultScheduleProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+/// Every cell of the process's code memory, in address order.
+std::vector<xray::CodeCell> codeCells(Process& process) {
+    std::vector<xray::CodeCell> cells;
+    for (std::uint64_t address = 0; address < process.memory().sizeBytes();
+         address += xray::kSledBytes) {
+        cells.push_back(process.memory().read(address));
+    }
+    return cells;
+}
+
+bool cellsEqual(const std::vector<xray::CodeCell>& lhs,
+                const std::vector<xray::CodeCell>& rhs) {
+    return std::equal(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+                      [](const xray::CodeCell& a, const xray::CodeCell& b) {
+                          return a.instr == b.instr && a.operand == b.operand;
+                      });
+}
+
+std::size_t writablePages(Process& process) {
+    std::size_t writable = 0;
+    for (std::uint64_t address = 0; address < process.memory().sizeBytes();
+         address += xray::kPageSize) {
+        writable += process.memory().pageWritable(address) ? 1 : 0;
+    }
+    return writable;
+}
+
+/// Regression: a fault at the 15th sled write of a 20 -> 30-function full
+/// apply (10 new functions, 10 Sampled -> Full promotions). The full apply
+/// must roll back like any delta: one PatchError, sleds and tier tags
+/// bit-identical to before, no page left writable, the old policy still
+/// cached.
+TEST_F(FaultTest, FullApplyFaultRollsBackToThePreviousPolicy) {
+    CompileOptions copts;
+    copts.xrayThreshold.instructionThreshold = 1;
+    Process process(compile(patchModel(40), copts));
+    dyncapi::DynCapi dyn(process);
+
+    const select::RegionPolicy full{select::Tier::Full, {}};
+    const select::RegionPolicy sampled{select::Tier::Sampled, {8, 0}};
+    select::InstrumentationPolicy before;
+    select::InstrumentationPolicy after;
+    for (std::uint32_t i = 0; i < 30; ++i) {
+        const std::string name = "exe_fn" + std::to_string(i);
+        if (i < 20) {
+            before.setRegion(name, i % 2 == 0 ? sampled : full);
+        }
+        after.setRegion(name, full);
+    }
+    ASSERT_EQ(dyn.applyPolicy(before).patchedFunctions, 20u);
+    const std::vector<xray::CodeCell> cellsBefore = codeCells(process);
+    const auto tiersBefore = process.xray().patchedFunctionTiers();
+
+    fault::FaultSpec spec;
+    spec.afterHits = 14;
+    spec.maxFires = 1;
+    fault::arm(fault::sites::kXraySledWrite, spec, envFaultSeed() + 15);
+    EXPECT_THROW(dyn.applyPolicy(after), xray::PatchError);
+    EXPECT_EQ(fault::stats(fault::sites::kXraySledWrite).fires, 1u);
+    fault::disarmAll();
+
+    EXPECT_TRUE(cellsEqual(codeCells(process), cellsBefore));
+    EXPECT_EQ(process.xray().patchedFunctionTiers(), tiersBefore);
+    EXPECT_EQ(writablePages(process), 0u);
+    EXPECT_EQ(dyn.currentPolicy().fingerprint(), before.fingerprint());
+
+    // The rolled-back state is a clean base for the same apply.
+    EXPECT_EQ(dyn.applyPolicy(after).patchedFunctions, 30u);
+    EXPECT_EQ(writablePages(process), 0u);
+}
 
 // ------------------------------------------------- controller self-healing --
 
@@ -454,7 +560,7 @@ TEST_F(FaultTest, ControllerRetriesTransientPatchFaultThenHeals) {
     EXPECT_EQ(report.health, adapt::EpochHealth::Degraded);
     EXPECT_EQ(rig.controller.healthStats().patchFailures, 1u);
     EXPECT_EQ(rig.controller.healthStats().patchRetries, 1u);
-    EXPECT_FALSE(rig.controller.currentIc().contains("noisy"));
+    EXPECT_EQ(rig.controller.currentPolicy().tierOf("noisy"), select::Tier::Off);
 
     // The retried delta really landed: re-applying the cached policy is a
     // complete no-op, so live sleds and the controller's view agree.
@@ -490,7 +596,8 @@ TEST_F(FaultTest, ControllerRevertsToLastGoodWhenRetriesExhaust) {
     EXPECT_EQ(report.policyFingerprint, fingerprintBefore);
     EXPECT_EQ(rig.controller.healthStats().reversions, 1u);
     EXPECT_EQ(rig.controller.healthStats().patchFailures, 3u);  // 1 + 2 retries
-    EXPECT_TRUE(rig.controller.currentIc().contains("noisy"));  // unchanged IC
+    // Unchanged policy.
+    EXPECT_NE(rig.controller.currentPolicy().tierOf("noisy"), select::Tier::Off);
 
     dyncapi::DeltaStats noop =
         rig.dyn.applyPolicyDelta(rig.controller.currentPolicy());
@@ -499,7 +606,39 @@ TEST_F(FaultTest, ControllerRevertsToLastGoodWhenRetriesExhaust) {
     // With the fault gone the next epoch applies the planned shrink.
     adapt::EpochReport recovered = rig.epoch(20000, 4e7);
     EXPECT_FALSE(recovered.revertedToLastGood);
-    EXPECT_FALSE(rig.controller.currentIc().contains("noisy"));
+    EXPECT_EQ(rig.controller.currentPolicy().tierOf("noisy"), select::Tier::Off);
+}
+
+TEST_F(FaultTest, ControllerStartCommitsNothingWhenRetriesExhaust) {
+    adapt::Config config = selfHealConfig();
+    config.patchRetries = 2;
+    SelfHealRig rig(config);
+    select::InstrumentationConfig kernelOnly;
+    kernelOnly.addFunction("kernel");
+    rig.controller.start(kernelOnly);
+    rig.epoch(100, 4e7);
+    const std::uint64_t fingerprintBefore =
+        rig.controller.currentPolicy().fingerprint();
+    const std::vector<xray::CodeCell> cellsBefore = codeCells(rig.process);
+    const auto tiersBefore = rig.process.xray().patchedFunctionTiers();
+
+    // Every attempt of the survey apply dies: start raises exactly one
+    // PatchError after 1 + 2 attempts and commits nothing.
+    fault::arm(fault::sites::kXraySledWrite, {}, envFaultSeed() + 17);
+    EXPECT_THROW(rig.controller.start(adapt::surveyOfDefinedFunctions(rig.graph)),
+                 xray::PatchError);
+    EXPECT_EQ(fault::stats(fault::sites::kXraySledWrite).fires, 3u);
+    fault::disarmAll();
+
+    EXPECT_EQ(rig.controller.healthStats().patchFailures, 3u);
+    EXPECT_EQ(rig.controller.healthStats().patchRetries, 2u);
+    EXPECT_EQ(rig.controller.surveyIc().functions, kernelOnly.functions);
+    EXPECT_EQ(rig.controller.currentPolicy().fingerprint(), fingerprintBefore);
+    EXPECT_EQ(rig.controller.lastReport().epoch, 1u);
+    EXPECT_EQ(rig.dyn.currentPolicy().fingerprint(), fingerprintBefore);
+    EXPECT_TRUE(cellsEqual(codeCells(rig.process), cellsBefore));
+    EXPECT_EQ(rig.process.xray().patchedFunctionTiers(), tiersBefore);
+    EXPECT_EQ(writablePages(rig.process), 0u);
 }
 
 TEST_F(FaultTest, KillSwitchTripsUnderInflatedProbeCostAndRearms) {

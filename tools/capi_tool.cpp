@@ -407,7 +407,7 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
     std::printf("%s after %zu epochs: IC %zu of %zu functions (%zu full, "
                 "%zu sampled)\n",
                 controller.converged() ? "converged" : "epoch cap reached",
-                controller.epochsRun(), controller.currentIc().size(),
+                controller.epochsRun(), controller.currentPolicy().size(),
                 survey.size(),
                 controller.currentPolicy().countOf(select::Tier::Full),
                 controller.currentPolicy().countOf(select::Tier::Sampled));
@@ -457,7 +457,7 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
         std::printf("metrics: %zu samples -> %s\n", samples.size(),
                     outputPath.c_str());
     } else if (!outputPath.empty()) {
-        controller.currentIc().writeFile(outputPath);
+        controller.currentPolicy().patchSet().writeFile(outputPath);
         std::printf("wrote %s\n", outputPath.c_str());
     }
     return controller.converged() ? 0 : 1;
