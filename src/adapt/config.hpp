@@ -1,12 +1,8 @@
-// The one configuration surface of the adaptive layer.
-//
-// ModelOptions, PlannerOptions and ControllerOptions grew overlapping knobs
-// (probe cost, budget fraction, EWMA alpha each appeared in more than one
-// struct, silently divergeable). Config consolidates every knob in one
-// struct owned by the Controller and passed down to the model and planner;
-// the old structs remain as thin deprecated shims for one release (see
-// their headers) and convert into a Config with the sampled tier disabled,
-// which reproduces the binary Full|Off behaviour bit for bit.
+// The one configuration surface of the adaptive layer: every knob of the
+// overhead model, the budget planner, the epoch decider and the controller's
+// patch side, in one struct. The EpochDecider owns it and passes it down to
+// the model and planner, so probe cost, budget fraction and EWMA alpha have
+// exactly one copy each — in the controller and the fleet aggregator alike.
 #pragma once
 
 #include <cstddef>
@@ -92,7 +88,7 @@ struct Config {
     std::uint64_t retrySeed = 0;
     /// Overhead kill-switch: when the measured overhead ratio exceeds
     /// budgetFraction * killSwitchFactor for killSwitchEpochs consecutive
-    /// epochs, the controller trips into SafeMode (minimal keep-only
+    /// epochs, the EpochDecider trips into SafeMode (minimal keep-only
     /// instrumentation). killSwitchRearmEpochs consecutive in-budget epochs
     /// in SafeMode re-arm the planner (hysteresis, so a borderline workload
     /// does not flap between tripped and armed).

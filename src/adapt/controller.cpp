@@ -1,11 +1,9 @@
 #include "adapt/controller.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -20,48 +18,28 @@ namespace {
 /// Interned span names for the controller phases, resolved once.
 struct ControllerSpanNames {
     std::uint32_t epoch;
-    std::uint32_t model;
-    std::uint32_t plan;
     std::uint32_t patch;
     std::uint32_t revert;
-    std::uint32_t killSwitchTrip;
-    std::uint32_t killSwitchRearm;
 };
 
 const ControllerSpanNames& controllerSpanNames() {
     static const ControllerSpanNames names = [] {
         obs::TraceRecorder& r = obs::TraceRecorder::global();
         return ControllerSpanNames{r.internName("adapt.epoch"),
-                                   r.internName("adapt.model"),
-                                   r.internName("adapt.plan"),
                                    r.internName("adapt.patch"),
-                                   r.internName("adapt.revert"),
-                                   r.internName("adapt.kill_switch_trip"),
-                                   r.internName("adapt.kill_switch_rearm")};
+                                   r.internName("adapt.revert")};
     }();
     return names;
 }
 
 }  // namespace
 
-const char* healthName(EpochHealth health) {
-    switch (health) {
-        case EpochHealth::Healthy: return "healthy";
-        case EpochHealth::Degraded: return "degraded";
-        case EpochHealth::SafeMode: return "safe-mode";
-    }
-    return "<unknown>";
-}
-
 Controller::Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
                        Config config)
     : dyn_(&dyn),
-      config_(std::move(config)),
-      session_(std::make_unique<dyncapi::RefinementSession>(graph,
-                                                            config_.threads)),
-      model_(config_),
-      planner_(graph),
-      obsEventsAtLastEpoch_(obs::TraceRecorder::global().recordedEvents()) {
+      decider_(graph, std::move(config)),
+      session_(std::make_unique<dyncapi::RefinementSession>(
+          graph, decider_.config().threads)) {
     // Lifetime HealthStats and the latest epoch's headline numbers, exported
     // from end-of-epoch snapshot copies so the collector never races the
     // controller's working state.
@@ -108,10 +86,6 @@ Controller::Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
         });
 }
 
-Controller::Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
-                       ControllerOptions options)
-    : Controller(graph, dyn, options.toConfig()) {}
-
 Controller::~Controller() {
     obs::MetricsRegistry::global().removeCollector(metricsCollectorId_);
 }
@@ -126,13 +100,14 @@ select::SelectionReport Controller::startFromSpec(const std::string& specText,
 
 template <typename Apply>
 auto Controller::applyWithRetry(Apply apply, std::size_t& retries) {
-    support::Backoff backoff(config_.retryBackoff, config_.retrySeed);
+    const Config& config = decider_.config();
+    support::Backoff backoff(config.retryBackoff, config.retrySeed);
     for (std::size_t attempt = 0;; ++attempt) {
         try {
             return apply();
         } catch (const xray::PatchError&) {
             ++healthStats_.patchFailures;
-            if (attempt == config_.patchRetries) {
+            if (attempt == config.patchRetries) {
                 throw;
             }
             ++healthStats_.patchRetries;
@@ -151,7 +126,7 @@ dyncapi::InitStats Controller::start(select::InstrumentationConfig surveyIc) {
     std::size_t retries = 0;
     dyncapi::InitStats stats =
         applyWithRetry([&] { return dyn_->applyPolicy(survey); }, retries);
-    surveyIc_ = std::move(surveyIc);
+    decider_.setSurvey(std::move(surveyIc));
     currentPolicy_ = std::move(survey);
     lastReport_ = EpochReport{};
     return stats;
@@ -164,95 +139,26 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     obs::ScopedSpan epochSpan(spans.epoch, obs::SpanCategory::Epoch);
     epochSpan.setArg(lastReport_.epoch + 1);
 
-    // Everything the recorder accepted since the last epoch — the measured
-    // run's collective/fault/patch events — is this epoch's observation
-    // bill, charged into the model below at the calibrated per-event cost.
-    const std::uint64_t obsEventsNow =
-        obs::TraceRecorder::global().recordedEvents();
-    const std::uint64_t obsEventsDelta = obsEventsNow - obsEventsAtLastEpoch_;
-    obsEventsAtLastEpoch_ = obsEventsNow;
-
-    obs::ScopedSpan modelSpan(spans.model, obs::SpanCategory::Model);
-    // One profile walk per epoch, shared by the model and the metric fold.
-    const auto regionTotals = profile.regionTotals();
-    model_.observeEpoch(regionTotals, measurement, runtimeNs, &currentPolicy_);
-
-    if (config_.foldVisitMetricsInto != nullptr) {
-        // Route the epoch's observed visit counts into the graph as
-        // metric-only journal touches: only the regions whose count actually
-        // changed are dirtied, so a following re-selection patches its CSR
-        // snapshot and keeps every cached stage that reads no metrics of the
-        // touched nodes. Summed per name first — several region handles can
-        // share one function name across measurement recreations.
-        std::unordered_map<std::string, std::uint64_t> visitsByName;
-        for (const auto& [region, totals] : regionTotals) {
-            visitsByName[measurement.region(region).name] += totals.visits;
-        }
-        cg::CallGraph& graph = *config_.foldVisitMetricsInto;
-        for (const auto& [name, totalVisits] : visitsByName) {
-            cg::FunctionId id = graph.lookup(name);
-            if (id == cg::kInvalidFunction || !graph.alive(id)) {
-                continue;
-            }
-            const auto visits = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(totalVisits, UINT32_MAX));
-            if (graph.desc(id).metrics.profiledVisits != visits) {
-                graph.touchMetrics(id, [visits](cg::FunctionMetrics& metrics) {
-                    metrics.profiledVisits = visits;
-                });
-            }
-        }
-    }
-
-    EpochReport report;
+    EpochDecision decision = decider_.decide(
+        decider_.observationsOf(profile, measurement), runtimeNs,
+        currentPolicy_);
+    select::InstrumentationPolicy& target = decision.policy;
+    EpochReport report = std::move(decision.report);
     report.epoch = lastReport_.epoch + 1;
-    report.runtimeNs = runtimeNs;
-    report.obsEventsObserved = obsEventsDelta;
-    report.selfObsCostNs =
-        static_cast<double>(obsEventsDelta) * config_.obsCostNs;
-    // Charged before the headline numbers are read, so the convergence check
-    // and the kill-switch both see probe cost PLUS observation cost.
-    model_.chargeSelfCost(report.selfObsCostNs);
-    modelSpan.end();
-    report.measuredProbeCostNs = model_.lastEpochProbeCostNs();
-    report.measuredOverheadRatio = model_.lastEpochOverheadRatio();
-    report.withinBudget = report.measuredOverheadRatio <= config_.budgetFraction;
-
-    updateKillSwitch(report);
-
-    // Pick the target policy: the planner's, or — with the kill-switch
-    // tripped — the keep-list-only fallback, whose cost does not depend on
-    // the planner's (apparently miscalibrated) model at all.
-    obs::ScopedSpan planSpan(spans.plan, obs::SpanCategory::Plan);
-    select::InstrumentationPolicy target;
-    if (health_ == EpochHealth::SafeMode) {
-        target = safeModePolicy();
-        report.budgetNs = config_.budgetFraction * runtimeNs;
-        report.plannedProbeCostNs = 0.0;
-        report.icSize = target.size();
-        report.fullRegions = target.countOf(select::Tier::Full);
-        report.sampledRegions = 0;
-    } else {
-        // Re-plan over the survey candidates, not the shrunken current IC:
-        // the model's frozen estimates let the planner re-admit regions whose
-        // smoothed cost no longer blocks the budget (and re-promote regions
-        // it demoted to Sampled).
-        PlanResult plan = planner_.plan(surveyIc_, model_, config_);
-        report.budgetNs = plan.budgetNs;
-        report.plannedProbeCostNs = plan.plannedProbeCostNs;
-        report.icSize = plan.policy.size();
-        report.fullRegions = plan.fullRegions;
-        report.sampledRegions = plan.sampledRegions;
-        target = std::move(plan.policy);
+    if (report.killSwitchTripped) {
+        ++healthStats_.killSwitchTrips;
     }
-
+    if (report.killSwitchRearmed) {
+        // Re-arm into Degraded, not Healthy: the next planned epoch must
+        // prove itself clean before the controller reports full health.
+        ++healthStats_.killSwitchRearms;
+        health_ = EpochHealth::Degraded;
+    }
     select::PolicyDelta delta = select::policyDiff(currentPolicy_, target);
     report.addedFunctions = delta.added.size();
     report.removedFunctions = delta.removed.size();
     report.promotedFunctions = delta.promoted.size();
     report.demotedFunctions = delta.demoted.size();
-    planSpan.setArg(report.icSize);
-    planSpan.end();
 
     obs::ScopedSpan patchSpan(spans.patch, obs::SpanCategory::Patch);
     try {
@@ -261,13 +167,9 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
                            report.retriesThisEpoch);
         currentPolicy_ = std::move(target);
         if (report.retriesThisEpoch > 0) {
-            if (health_ == EpochHealth::Healthy) {
-                health_ = EpochHealth::Degraded;
-            }
-        } else if (health_ == EpochHealth::Degraded && !report.killSwitchRearmed) {
-            // A clean epoch heals — but the rearm epoch itself stays
-            // Degraded: the planner must prove a full epoch clean first.
-            health_ = EpochHealth::Healthy;
+            health_ = EpochHealth::Degraded;
+        } else if (!report.killSwitchRearmed) {
+            health_ = EpochHealth::Healthy;  // A clean epoch heals.
         }
     } catch (const xray::PatchError&) {
         // Retries exhausted. The transaction rolled every attempt back, so
@@ -284,18 +186,16 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
                                        report.retriesThisEpoch);
             }
         }
-        if (health_ != EpochHealth::SafeMode) {
-            health_ = EpochHealth::Degraded;
-        }
+        health_ = EpochHealth::Degraded;
         try {
             report.patch = dyn_->applyPolicyDelta(currentPolicy_);
         } catch (const xray::PatchError&) {
-            // Even the no-op revert failed: wedge into SafeMode and make a
-            // best-effort attempt to shed down to the minimal policy.
+            // Even the no-op revert failed: force the decider into SafeMode
+            // and make a best-effort attempt to shed down to its policy.
             ++healthStats_.patchFailures;
-            health_ = EpochHealth::SafeMode;
+            decider_.forceSafeMode();
             try {
-                select::InstrumentationPolicy safe = safeModePolicy();
+                select::InstrumentationPolicy safe = decider_.safeModePolicy();
                 report.patch = dyn_->applyPolicyDelta(safe);
                 currentPolicy_ = std::move(safe);
             } catch (const xray::PatchError&) {
@@ -307,7 +207,7 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
                      report.patch.functionsUnpatched);
     patchSpan.end();
     report.policyFingerprint = currentPolicy_.fingerprint();
-    report.health = health_;
+    report.health = health();
 
     lastReport_ = report;
     {
@@ -317,56 +217,6 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
         obsReport_ = report;
     }
     return report;
-}
-
-select::InstrumentationPolicy Controller::safeModePolicy() const {
-    select::InstrumentationConfig keepIc;
-    keepIc.specName = "safe-mode";
-    keepIc.assignFunctions(config_.keep);
-    return select::InstrumentationPolicy::fullOf(keepIc);
-}
-
-void Controller::updateKillSwitch(EpochReport& report) {
-    const double tripRatio = config_.budgetFraction * config_.killSwitchFactor;
-    if (report.measuredOverheadRatio > tripRatio) {
-        ++overBudgetStreak_;
-        inBudgetStreak_ = 0;
-    } else if (report.withinBudget) {
-        ++inBudgetStreak_;
-        overBudgetStreak_ = 0;
-    } else {
-        // The grey zone between budget and trip ratio: breaks both streaks,
-        // which is the hysteresis that keeps a borderline workload from
-        // flapping between tripped and re-armed.
-        overBudgetStreak_ = 0;
-        inBudgetStreak_ = 0;
-    }
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (health_ != EpochHealth::SafeMode &&
-        overBudgetStreak_ >= config_.killSwitchEpochs) {
-        health_ = EpochHealth::SafeMode;
-        ++healthStats_.killSwitchTrips;
-        report.killSwitchTripped = true;
-        overBudgetStreak_ = 0;
-        if (recorder.enabled()) {
-            recorder.recordInstant(controllerSpanNames().killSwitchTrip,
-                                   obs::SpanCategory::Epoch,
-                                   support::probeNowNs(), report.epoch);
-        }
-    } else if (health_ == EpochHealth::SafeMode &&
-               inBudgetStreak_ >= config_.killSwitchRearmEpochs) {
-        // Re-arm into Degraded, not Healthy: the next planned epoch must
-        // prove itself clean before the controller reports full health.
-        health_ = EpochHealth::Degraded;
-        ++healthStats_.killSwitchRearms;
-        report.killSwitchRearmed = true;
-        inBudgetStreak_ = 0;
-        if (recorder.enabled()) {
-            recorder.recordInstant(controllerSpanNames().killSwitchRearm,
-                                   obs::SpanCategory::Epoch,
-                                   support::probeNowNs(), report.epoch);
-        }
-    }
 }
 
 EpochReport Controller::epochAllRanks(mpi::MpiWorld& world, int rank,
@@ -463,7 +313,7 @@ EpochReport Controller::adoptPolicy(
         if (retries > 0 ||
             currentPolicy_.fingerprint() != report.policyFingerprint) {
             health_ = EpochHealth::Degraded;
-            report.health = health_;
+            report.health = health();
         }
         lastReport_ = report;
     } else if (lastReport_.epoch != report.epoch) {

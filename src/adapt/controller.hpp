@@ -1,19 +1,24 @@
-// The adaptive controller: a continuous measure -> model -> plan ->
-// delta-patch loop that converges the instrumented set onto an overhead
-// budget at runtime, without recompilation.
+// The adaptive controller: a continuous measure -> decide -> delta-patch
+// loop that converges the instrumented set onto an overhead budget at
+// runtime, without recompilation.
 //
-//          +-----------(next epoch)------------+
-//          v                                   |
-//   [measure epoch] -> [OverheadModel] -> [BudgetPlanner] -> [applyPolicyDelta]
-//    profile, runtime    EWMA per-region        greedy knapsack    flip only
-//                        visits/excl. time      under the budget   changed sleds
+//        +----------------------------(next epoch)---------------------------+
+//        v                                                                   |
+//   [measure epoch] --> [EpochDecider] ---------------> [patcher] -----------+
+//    profile ->          OverheadModel: EWMA fold        applyPolicyDelta with
+//    by-name             kill-switch: trip / rearm       retry; on exhaustion
+//    observations,       BudgetPlanner: knapsack, or     keep last-good, and a
+//    runtime             the safe-mode keep-list         failed revert forces
+//                                                        the decider's SafeMode
 //
-// The controller replaces the one-shot refineIc threshold rule with a closed
-// feedback loop: every epoch re-plans over the full survey candidate set, so
-// regions excluded earlier are re-admitted when their smoothed cost drops —
-// the instrumentation breathes with the workload. Every apply flips only the
-// difference to the live sled state, so the epochs after the first touch a
-// handful of code pages.
+// The decider (adapt/epoch_decider.hpp) is the one the fleet aggregator
+// runs too; the controller adds only the patch side — retries, reversions
+// and Healthy/Degraded health. It replaces the one-shot refineIc threshold
+// rule with a closed feedback loop: every epoch re-plans over the full
+// survey candidate set, so regions excluded earlier are re-admitted when
+// their smoothed cost drops — the instrumentation breathes with the
+// workload. Every apply flips only the difference to the live sled state,
+// so the epochs after the first touch a handful of code pages.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "adapt/budget_planner.hpp"
-#include "adapt/overhead_model.hpp"
+#include "adapt/epoch_decider.hpp"
 #include "binsim/execution_engine.hpp"
 #include "dyncapi/dyncapi.hpp"
 #include "dyncapi/refinement.hpp"
@@ -31,59 +35,6 @@
 #include "select/ic.hpp"
 
 namespace capi::adapt {
-
-/// DEPRECATED thin shim: prefer adapt::Config, which merges these knobs
-/// with the model's and planner's (they had grown overlapping copies of
-/// probe cost and budget fraction) and adds the sampled-tier controls.
-/// Controllers built from this struct run with the sampled tier disabled —
-/// the binary Full|Off loop, unchanged.
-struct ControllerOptions {
-    /// Probe-time budget as a fraction of application runtime.
-    double budgetFraction = 0.05;
-    /// Epoch cap for run() convenience loops (the controller itself keeps
-    /// accepting epochs beyond it).
-    std::size_t maxEpochs = 10;
-    ModelOptions model;
-    /// Regions never excluded (forwarded to the planner).
-    std::vector<std::string> keep;
-    /// Selection/planning parallelism, as in PipelineOptions.
-    std::size_t threads = 1;
-    /// When set (to the SAME graph the controller was constructed over),
-    /// every epoch folds the measured per-region visit counts into
-    /// FunctionMetrics::profiledVisits through CallGraph::touchMetrics —
-    /// metric-only journal records. Specs re-run through the session (e.g.
-    /// `profiledVisits(">=", n, ...)` refinements) then see fresh runtime
-    /// metrics while structural stages stay cache-warm and the CsrView is
-    /// patched, not rebuilt.
-    cg::CallGraph* foldVisitMetricsInto = nullptr;
-
-    /// The consolidated equivalent (sampled tier disabled).
-    Config toConfig() const {
-        Config config;
-        config.perEventCostNs = model.perEventCostNs;
-        config.ewmaAlpha = model.ewmaAlpha;
-        config.budgetFraction = budgetFraction;
-        config.keep = keep;
-        config.enableSampledTier = false;
-        config.maxEpochs = maxEpochs;
-        config.threads = threads;
-        config.foldVisitMetricsInto = foldVisitMetricsInto;
-        return config;
-    }
-};
-
-/// The controller's self-healing state machine.
-///
-///   Healthy --patch failed / kill-switch armed--> Degraded/SafeMode
-///   Degraded: the last epoch needed retries or reverted to the last
-///             known-good policy; a clean epoch heals back to Healthy.
-///   SafeMode: the overhead kill-switch tripped (or reversion itself
-///             failed): only the keep-list stays instrumented until
-///             killSwitchRearmEpochs consecutive in-budget epochs re-arm
-///             the planner.
-enum class EpochHealth : std::uint8_t { Healthy = 0, Degraded = 1, SafeMode = 2 };
-
-const char* healthName(EpochHealth health);
 
 /// Cumulative self-healing counters over the controller's lifetime.
 struct HealthStats {
@@ -94,64 +45,13 @@ struct HealthStats {
     std::uint64_t killSwitchRearms = 0;
 };
 
-/// What one epoch measured and what the controller did about it.
-struct EpochReport {
-    std::size_t epoch = 0;                ///< 1-based.
-    double runtimeNs = 0.0;               ///< As reported by the embedder.
-    double measuredProbeCostNs = 0.0;     ///< Observed visits x event cost.
-    double measuredOverheadRatio = 0.0;   ///< Cost / runtime, this epoch.
-    bool withinBudget = false;            ///< ratio <= budgetFraction.
-    double budgetNs = 0.0;                ///< Planner budget applied.
-    double plannedProbeCostNs = 0.0;      ///< Predicted cost of the new IC.
-    std::size_t icSize = 0;               ///< Functions in the new IC.
-    std::size_t addedFunctions = 0;       ///< Re-admitted vs previous IC.
-    std::size_t removedFunctions = 0;     ///< Excluded vs previous IC.
-    dyncapi::DeltaStats patch;            ///< The delta repatch that applied it.
-    // --- tiered policy (zero on the binary Full|Off path) ------------------
-    std::size_t fullRegions = 0;          ///< Regions at Full in the new policy.
-    std::size_t sampledRegions = 0;       ///< Regions demoted to Sampled.
-    std::size_t promotedFunctions = 0;    ///< Sampled -> Full this epoch.
-    std::size_t demotedFunctions = 0;     ///< Full -> Sampled this epoch.
-    std::uint64_t policyFingerprint = 0;  ///< Fingerprint of the new policy.
-    /// epochAllRanks only: ranks whose pre-epoch policy fingerprint differed
-    /// from the reducing rank's — nonzero means the world had diverged going
-    /// into this epoch. Divergent ranks re-apply the converged policy on
-    /// their own controller before epochAllRanks returns, so the world
-    /// leaves every epoch converged on one policy.
-    std::size_t divergentRanks = 0;
-    /// Divergence *diagnosis*: when this controller's live policy disagreed
-    /// with the converged one (adoptPolicy on a divergent rank / fleet
-    /// client), the actual region-level diff live -> converged — which
-    /// regions diverged and in which direction, not just that a fingerprint
-    /// mismatched. Empty while converged.
-    select::PolicyDelta divergence;
-    /// epochAllRanks only: ranks dropped from the world as of this epoch.
-    std::size_t droppedRanks = 0;
-    // --- self-healing ------------------------------------------------------
-    EpochHealth health = EpochHealth::Healthy;  ///< State after this epoch.
-    std::size_t retriesThisEpoch = 0;  ///< Patch re-applies this epoch.
-    bool revertedToLastGood = false;   ///< Retries exhausted; kept old policy.
-    bool killSwitchTripped = false;    ///< Entered SafeMode this epoch.
-    bool killSwitchRearmed = false;    ///< Left SafeMode this epoch.
-    // --- self-observability ------------------------------------------------
-    /// Trace events the global recorder accepted since the previous epoch.
-    std::uint64_t obsEventsObserved = 0;
-    /// Those events charged at Config::obsCostNs and folded into the model —
-    /// already included in measuredProbeCostNs/measuredOverheadRatio.
-    double selfObsCostNs = 0.0;
-};
-
 class Controller {
 public:
     /// `graph` and `dyn` must outlive the controller. Owns a
     /// dyncapi::RefinementSession so spec-driven survey selection shares
     /// stage results across epochs and borrows the process-wide pool.
     Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
-               Config config);
-    /// DEPRECATED shim constructor: converts to Config with the sampled
-    /// tier disabled (identical to the pre-tier controller).
-    Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
-               ControllerOptions options = {});
+               Config config = {});
     ~Controller();
 
     Controller(const Controller&) = delete;
@@ -170,8 +70,9 @@ public:
     /// (healthStats() still counts the failed attempts).
     dyncapi::InitStats start(select::InstrumentationConfig surveyIc);
 
-    /// One epoch: folds the measured profile into the model, re-plans over
-    /// the survey candidates under the budget, and delta-patches the result.
+    /// One epoch: turns the measured profile into observations, lets the
+    /// EpochDecider fold them and pick the target policy, and delta-patches
+    /// it with retry.
     /// `runtimeNs` is the epoch's runtime in the same time base as the
     /// model's perEventCostNs (wall or virtual — consistency is what
     /// matters).
@@ -207,28 +108,28 @@ public:
     bool converged() const { return lastReport_.epoch > 0 && lastReport_.withinBudget; }
     /// Converged, or the maxEpochs cap is exhausted.
     bool done() const {
-        return converged() || lastReport_.epoch >= config_.maxEpochs;
+        return converged() || lastReport_.epoch >= config().maxEpochs;
     }
 
     std::size_t epochsRun() const { return lastReport_.epoch; }
     const EpochReport& lastReport() const { return lastReport_; }
-    EpochHealth health() const { return health_; }
+    /// SafeMode while the decider holds it, else the patch side's state.
+    EpochHealth health() const {
+        return decider_.safeMode() ? EpochHealth::SafeMode : health_;
+    }
     const HealthStats& healthStats() const { return healthStats_; }
     /// The tiered policy currently applied.
     const select::InstrumentationPolicy& currentPolicy() const {
         return currentPolicy_;
     }
-    const select::InstrumentationConfig& surveyIc() const { return surveyIc_; }
-    const OverheadModel& model() const { return model_; }
-    const Config& config() const { return config_; }
+    const select::InstrumentationConfig& surveyIc() const {
+        return decider_.survey();
+    }
+    const OverheadModel& model() const { return decider_.model(); }
+    const Config& config() const { return decider_.config(); }
     dyncapi::RefinementSession& session() { return *session_; }
 
 private:
-    /// The keep-list-only fallback policy SafeMode runs under (empty keep
-    /// list = fully uninstrumented): the minimal state whose overhead is by
-    /// construction as low as this controller can go.
-    select::InstrumentationPolicy safeModePolicy() const;
-
     /// Returns `apply()`, re-called up to config_.patchRetries times,
     /// backoff-spaced, while it throws PatchError; failures and retries are
     /// counted into healthStats_ and `retries`. Rethrows the last PatchError
@@ -236,29 +137,17 @@ private:
     template <typename Apply>
     auto applyWithRetry(Apply apply, std::size_t& retries);
 
-    /// Advances the kill-switch streaks for one epoch's measured ratio and
-    /// performs the SafeMode trip / re-arm transitions.
-    void updateKillSwitch(EpochReport& report);
-
     dyncapi::DynCapi* dyn_;
-    Config config_;
+    /// The decision side: model, planner, survey, kill-switch, self-cost.
+    EpochDecider decider_;
     std::unique_ptr<dyncapi::RefinementSession> session_;
-    OverheadModel model_;
-    BudgetPlanner planner_;
-    select::InstrumentationConfig surveyIc_;
     select::InstrumentationPolicy currentPolicy_;
     EpochReport lastReport_;
 
+    /// The patch side's health: Healthy or Degraded (SafeMode is the
+    /// decider's, see health()).
     EpochHealth health_ = EpochHealth::Healthy;
     HealthStats healthStats_;
-    std::size_t overBudgetStreak_ = 0;  ///< Consecutive epochs past the trip ratio.
-    std::size_t inBudgetStreak_ = 0;    ///< Consecutive epochs within budget.
-
-    /// Global-recorder recordedEvents() baseline for the self-cost delta.
-    /// Captured at construction (the counter is process-monotonic: a zero
-    /// start would bill this controller for every event any earlier run
-    /// recorded).
-    std::uint64_t obsEventsAtLastEpoch_ = 0;
     /// obs::MetricsRegistry collector handle (label ctl="<instance seq>").
     std::uint64_t metricsCollectorId_ = 0;
     /// Guards the snapshot copies the metrics collector reads; the live

@@ -30,21 +30,6 @@
 
 namespace capi::adapt {
 
-/// DEPRECATED thin shim: prefer adapt::Config, which carries these knobs
-/// (and the gate cost the tiered model needs). Kept for one release so the
-/// binary Full|Off call sites keep compiling unchanged.
-struct ModelOptions {
-    /// Calibrated wall (or virtual) cost of one probe event; see
-    /// scorep::calibrateProbeCostNs(). Re-run the calibration whenever the
-    /// measurement hot path changes (it is the constant every budget
-    /// decision scales with); frozen estimates survive such a shift because
-    /// cost is recomputed as visits x perEventCostNs at planning time — only
-    /// the EWMA'd visit counts are stored, never a stale cost product.
-    double perEventCostNs = 120.0;
-    /// Weight of the newest epoch in the moving average (1.0 = no memory).
-    double ewmaAlpha = 0.5;
-};
-
 /// Smoothed per-epoch behaviour of one region.
 struct RegionEstimate {
     double visits = 0.0;        ///< *True* visits per epoch (EWMA): recorded
@@ -81,12 +66,22 @@ struct ModelState {
 
 class OverheadModel {
 public:
-    explicit OverheadModel(ModelOptions options = {}) : options_(options) {}
-    /// Config-driven construction: takes perEventCostNs/ewmaAlpha plus the
-    /// gate cost the tiered accounting charges per suppressed event.
-    explicit OverheadModel(const Config& config)
-        : options_{config.perEventCostNs, config.ewmaAlpha},
+    /// Takes perEventCostNs/ewmaAlpha plus the gate cost the tiered
+    /// accounting charges per suppressed event from `config`.
+    explicit OverheadModel(const Config& config = {})
+        : perEventCostNs_(config.perEventCostNs),
+          ewmaAlpha_(config.ewmaAlpha),
           gateCostNs_(config.gateCostNs) {}
+
+    /// One region-name's worth of epoch observation. `suppressed` is the
+    /// epoch's gate-suppressed visit DELTA (already differenced —
+    /// observationsOf derives it from the Measurement's cumulative counters).
+    struct RegionObservation {
+        double visits = 0.0;
+        double exclusiveNs = 0.0;
+        double suppressed = 0.0;
+    };
+    using Observations = std::map<std::string, RegionObservation>;
 
     /// Folds one epoch's merged profile into the estimates. `activePolicy`
     /// names the regions that were instrumented during the epoch (see the
@@ -96,38 +91,27 @@ public:
                       double epochRuntimeNs,
                       const select::InstrumentationPolicy* activePolicy = nullptr);
 
-    /// Same, over pre-aggregated per-region totals — for callers that need
-    /// the totals themselves (the controller's metric folding) so the
-    /// profile tree is walked once per epoch, not once per consumer.
-    void observeEpoch(
+    /// Aggregates one epoch's per-region totals by region name and attaches
+    /// each name's gate-suppressed visit delta, advancing the per-name
+    /// suppression baselines — the by-handle half of observeEpoch, exposed
+    /// so the controller walks the profile once and hands the result to the
+    /// EpochDecider (which folds it and feeds the graph's visit metrics).
+    Observations observationsOf(
         const std::unordered_map<scorep::RegionHandle,
                                  scorep::ProfileTree::RegionTotals>& regionTotals,
-        const scorep::Measurement& measurement, double epochRuntimeNs,
-        const select::InstrumentationPolicy* activePolicy = nullptr);
-
-    /// One region-name's worth of epoch observation, for callers that
-    /// aggregate regions themselves. `suppressed` is the epoch's
-    /// gate-suppressed visit DELTA (already differenced — the by-handle
-    /// overloads derive it from the Measurement's cumulative counters).
-    struct RegionObservation {
-        double visits = 0.0;
-        double exclusiveNs = 0.0;
-        double suppressed = 0.0;
-    };
+        const scorep::Measurement& measurement);
 
     /// Same fold over name-keyed observations with no Measurement in sight —
-    /// the fleet aggregator's entry point, where region identity arrives as
-    /// wire-interned names and suppression counters arrive pre-differenced.
-    /// The ordered map pins the floating-point fold order, so a fleet
-    /// aggregation and an in-process reference run accumulate epoch cost in
-    /// the identical sequence (every by-handle overload funnels through this
-    /// one) — bit-identical budgets, bit-identical plans.
-    void observeEpoch(const std::map<std::string, RegionObservation>& byName,
-                      double epochRuntimeNs,
+    /// the EpochDecider's entry point for both the controller and the fleet
+    /// aggregator, where region identity arrives as wire-interned names and
+    /// suppression counters arrive pre-differenced. The ordered map pins the
+    /// floating-point fold order, so a fleet aggregation and an in-process
+    /// reference run accumulate epoch cost in the identical sequence —
+    /// bit-identical budgets, bit-identical plans.
+    void observeEpoch(const Observations& byName, double epochRuntimeNs,
                       const select::InstrumentationPolicy* activePolicy = nullptr);
 
     std::size_t epochCount() const { return epochs_; }
-    const ModelOptions& options() const { return options_; }
     double gateCostNs() const { return gateCostNs_; }
 
     const RegionEstimate* estimate(const std::string& name) const;
@@ -138,7 +122,7 @@ public:
     /// Predicted per-epoch probe cost of keeping a region instrumented:
     /// one enter plus one exit event per visit.
     double probeCostNs(const RegionEstimate& estimate) const {
-        return estimate.visits * 2.0 * options_.perEventCostNs;
+        return estimate.visits * 2.0 * perEventCostNs_;
     }
 
     /// Smoothed epoch runtime and the probe cost actually incurred.
@@ -178,8 +162,9 @@ public:
     }
 
 private:
-    ModelOptions options_;
-    double gateCostNs_ = 10.0;
+    double perEventCostNs_;
+    double ewmaAlpha_;
+    double gateCostNs_;
     std::unordered_map<std::string, RegionEstimate> estimates_;
     /// Cumulative per-name suppressed-visit counters at the last observed
     /// epoch, so each epoch folds only its own delta. Keyed to a Measurement

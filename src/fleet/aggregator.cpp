@@ -4,7 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "cg/call_graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/fault.hpp"
@@ -18,7 +17,6 @@ namespace {
 struct FleetSpanNames {
     std::uint32_t epoch;
     std::uint32_t merge;
-    std::uint32_t plan;
     std::uint32_t broadcast;
     std::uint32_t evict;
     std::uint32_t resume;
@@ -31,7 +29,6 @@ const FleetSpanNames& fleetSpanNames() {
         obs::TraceRecorder& r = obs::TraceRecorder::global();
         return FleetSpanNames{r.internName("fleet.epoch"),
                               r.internName("fleet.merge"),
-                              r.internName("fleet.plan"),
                               r.internName("fleet.broadcast"),
                               r.internName("fleet.evict"),
                               r.internName("fleet.resume"),
@@ -46,16 +43,12 @@ const FleetSpanNames& fleetSpanNames() {
 Aggregator::Aggregator(const cg::CallGraph& graph,
                        select::InstrumentationConfig surveyIc,
                        AggregatorOptions options)
-    : graph_(&graph),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       data_(options_.dataQueueCapacity),
-      model_(options_.config),
-      planner_(graph),
-      surveyIc_(std::move(surveyIc)),
-      obsEventsAtLastEpoch_(obs::TraceRecorder::global().recordedEvents()) {
+      decider_(graph, options_.config, std::move(surveyIc)) {
     // The fleet converges from the same starting point every client's
     // controller starts from: the survey policy, fully instrumented.
-    currentPolicy_ = select::InstrumentationPolicy::fullOf(surveyIc_);
+    currentPolicy_ = select::InstrumentationPolicy::fullOf(decider_.survey());
 
     static std::atomic<std::uint64_t> nextSeq{0};
     const std::uint64_t seq = nextSeq.fetch_add(1, std::memory_order_relaxed);
@@ -121,7 +114,7 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
 void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     // Construction is single-threaded; no lock needed.
     const std::uint64_t expectedSurvey =
-        select::InstrumentationPolicy::fullOf(surveyIc_).fingerprint();
+        select::InstrumentationPolicy::fullOf(decider_.survey()).fingerprint();
     if (snap.surveyFingerprint != expectedSurvey) {
         throw WireError("snapshot was taken against a different survey");
     }
@@ -129,9 +122,6 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     incarnation_ = snap.incarnation + 1;
     epochsCompleted_ = snap.epochsCompleted;
     nextClientId_ = snap.nextClientId;
-    safeMode_ = snap.safeMode;
-    overBudgetStreak_ = static_cast<std::size_t>(snap.overBudgetStreak);
-    inBudgetStreak_ = static_cast<std::size_t>(snap.inBudgetStreak);
     lastRatio_ = snap.lastRatio;
     lastBudgetNs_ = snap.lastBudgetNs;
     lastWithinBudget_ = snap.lastWithinBudget;
@@ -165,7 +155,9 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     for (const auto& [name, totals] : snap.lastTotals) {
         lastTotals_.emplace(name, totals);
     }
-    model_.restoreState(snap.model);
+    // Also restarts self-cost billing from the recorder's current position:
+    // the events of the dead incarnation died with it.
+    decider_.restoreState(snap.decider);
 
     for (const SnapshotClient& sc : snap.clients) {
         ClientState state;
@@ -197,10 +189,6 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
         }
     }
     epochOpenedAtNs_ = anyPending ? support::nowNs() : 0;
-
-    // Self-cost billing restarts from the recorder's current position: the
-    // events of the dead incarnation died with it.
-    obsEventsAtLastEpoch_ = obs::TraceRecorder::global().recordedEvents();
     stats_.restores = 1;
 }
 
@@ -220,13 +208,7 @@ Aggregator::Session Aggregator::connect() {
     ++stats_.clientsConnected;
     // Late-joiner catch-up, half one: a full-policy baseline so the client
     // converges onto the fleet's current policy before its first epoch.
-    PolicyFrame base;
-    base.epoch = epochsCompleted_;
-    base.fingerprint = currentPolicy_.fingerprint();
-    base.measuredOverheadRatio = lastRatio_;
-    base.budgetNs = lastBudgetNs_;
-    base.withinBudget = lastWithinBudget_;
-    sendPolicyTo(it->second, base);
+    sendPolicyTo(it->second, headlineFrame());
     return Session{.clientId = it->first,
                    .policyChannel = it->second.policyChannel.get()};
 }
@@ -300,14 +282,11 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
     snap.incarnation = incarnation_;
     snap.epochsCompleted = epochsCompleted_;
     snap.nextClientId = nextClientId_;
-    snap.safeMode = safeMode_;
-    snap.overBudgetStreak = overBudgetStreak_;
-    snap.inBudgetStreak = inBudgetStreak_;
     snap.lastRatio = lastRatio_;
     snap.lastBudgetNs = lastBudgetNs_;
     snap.lastWithinBudget = lastWithinBudget_;
     snap.surveyFingerprint =
-        select::InstrumentationPolicy::fullOf(surveyIc_).fingerprint();
+        select::InstrumentationPolicy::fullOf(decider_.survey()).fingerprint();
     snap.currentPolicy = currentPolicy_;
     snap.regionNames = regionNames_;
     const scorep::ProfileTree& tree = fleetTree_;
@@ -317,7 +296,7 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
                                           node.visits, node.inclusiveNs});
     }
     snap.lastTotals.assign(lastTotals_.begin(), lastTotals_.end());
-    snap.model = model_.saveState();
+    snap.decider = decider_.saveState();
     for (const auto& [id, client] : clients_) {
         SnapshotClient sc;
         sc.id = id;
@@ -468,13 +447,7 @@ void Aggregator::handleFrame(const std::vector<std::uint8_t>& bytes) {
                 it->second.needsBaseline = true;
                 // Answer immediately — the client is blocked waiting for a
                 // baseline, not for the next epoch.
-                PolicyFrame base;
-                base.epoch = epochsCompleted_;
-                base.fingerprint = currentPolicy_.fingerprint();
-                base.measuredOverheadRatio = lastRatio_;
-                base.budgetNs = lastBudgetNs_;
-                base.withinBudget = lastWithinBudget_;
-                sendPolicyTo(it->second, base);
+                sendPolicyTo(it->second, headlineFrame());
                 return;
             }
             case FrameType::Bye: {
@@ -617,7 +590,7 @@ void Aggregator::closeEpoch(bool timedOut) {
     // against the last epoch's snapshot. Matches the per-epoch merged tree
     // an epochAllRanks reference reduces, region for region.
     auto totalsNow = totalsByNameLocked();
-    std::map<std::string, adapt::OverheadModel::RegionObservation> byName;
+    adapt::OverheadModel::Observations byName;
     for (const auto& [name, totals] : totalsNow) {
         scorep::ProfileTree::RegionTotals last;
         if (auto it = lastTotals_.find(name); it != lastTotals_.end()) {
@@ -645,76 +618,25 @@ void Aggregator::closeEpoch(bool timedOut) {
     }
     lastTotals_ = std::move(totalsNow);
 
-    model_.observeEpoch(byName, worldRuntimeNs, &currentPolicy_);
-    // Self-observability billing, as Controller::epoch charges it.
-    const std::uint64_t obsEventsNow =
-        obs::TraceRecorder::global().recordedEvents();
-    model_.chargeSelfCost(static_cast<double>(obsEventsNow -
-                                              obsEventsAtLastEpoch_) *
-                          options_.config.obsCostNs);
-    obsEventsAtLastEpoch_ = obsEventsNow;
-
-    // Mirror of Controller's foldVisitMetricsInto: route per-epoch visit
-    // counts into the graph as metric-only journal touches.
-    if (options_.config.foldVisitMetricsInto != nullptr) {
-        cg::CallGraph& graph = *options_.config.foldVisitMetricsInto;
-        for (const auto& [name, obs] : byName) {
-            cg::FunctionId id = graph.lookup(name);
-            if (id == cg::kInvalidFunction || !graph.alive(id)) {
-                continue;
-            }
-            const auto visits = static_cast<std::uint32_t>(std::min<double>(
-                obs.visits, static_cast<double>(UINT32_MAX)));
-            if (graph.desc(id).metrics.profiledVisits != visits) {
-                graph.touchMetrics(id, [visits](cg::FunctionMetrics& metrics) {
-                    metrics.profiledVisits = visits;
-                });
-            }
-        }
-    }
-
-    const double ratio = model_.lastEpochOverheadRatio();
-    const bool within = ratio <= options_.config.budgetFraction;
-    mirrorKillSwitch(ratio, within);
-
-    // 3. Replan over the survey candidates (or shed to keep-only in safe
-    // mode) — the identical decision the in-process controller would make.
-    obs::ScopedSpan planSpan(spans.plan, obs::SpanCategory::Fleet);
-    double budgetNs = 0.0;
-    if (safeMode_) {
-        select::InstrumentationConfig keepIc;
-        keepIc.specName = "safe-mode";
-        keepIc.assignFunctions(options_.config.keep);
-        budgetNs = options_.config.budgetFraction * worldRuntimeNs;
-        currentPolicy_ = select::InstrumentationPolicy::fullOf(keepIc);
-    } else {
-        adapt::PlanResult plan =
-            planner_.plan(surveyIc_, model_, options_.config);
-        budgetNs = plan.budgetNs;
-        currentPolicy_ = std::move(plan.policy);
-    }
-    planSpan.setArg(currentPolicy_.size());
-    planSpan.end();
-
+    // The decision itself — the identical one the in-process controller
+    // would make over the same observations.
+    adapt::EpochDecision decision =
+        decider_.decide(byName, worldRuntimeNs, currentPolicy_);
+    currentPolicy_ = std::move(decision.policy);
     ++epochsCompleted_;
     ++stats_.epochsCompleted;
-    lastRatio_ = ratio;
-    lastBudgetNs_ = budgetNs;
-    lastWithinBudget_ = within;
+    lastRatio_ = decision.report.measuredOverheadRatio;
+    lastBudgetNs_ = decision.report.budgetNs;
+    lastWithinBudget_ = decision.report.withinBudget;
 
-    // 4. Broadcast the converged policy: per-client deltas against what each
+    // 3. Broadcast the converged policy: per-client deltas against what each
     // client last received, baselines for fresh or resyncing clients.
     // Evicted clients are skipped (their frozen lastSentPolicy keeps the
     // diff chain anchored at what they actually have); Lagging clients get a
     // best-effort trySend — a stalled client's full queue must never block
     // the epoch pipeline for everyone else.
     obs::ScopedSpan broadcastSpan(spans.broadcast, obs::SpanCategory::Fleet);
-    PolicyFrame base;
-    base.epoch = epochsCompleted_;
-    base.fingerprint = currentPolicy_.fingerprint();
-    base.measuredOverheadRatio = ratio;
-    base.budgetNs = budgetNs;
-    base.withinBudget = within;
+    const PolicyFrame base = headlineFrame();
     std::size_t framesOut = 0;
     for (auto& [id, client] : clients_) {
         if (client.evicted) {
@@ -736,6 +658,16 @@ void Aggregator::closeEpoch(bool timedOut) {
         }
     }
     epochOpenedAtNs_ = anyPending ? support::nowNs() : 0;
+}
+
+PolicyFrame Aggregator::headlineFrame() const {
+    PolicyFrame frame;
+    frame.epoch = epochsCompleted_;
+    frame.fingerprint = currentPolicy_.fingerprint();
+    frame.measuredOverheadRatio = lastRatio_;
+    frame.budgetNs = lastBudgetNs_;
+    frame.withinBudget = lastWithinBudget_;
+    return frame;
 }
 
 void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
@@ -783,32 +715,6 @@ void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
         client.needsBaseline = false;
     } else if (result == SendResult::Backpressure) {
         ++stats_.laggingPolicyDrops;
-    }
-}
-
-void Aggregator::mirrorKillSwitch(double measuredRatio, bool withinBudget) {
-    // Controller::updateKillSwitch, minus the patching side: the aggregator
-    // trips to a keep-only policy on sustained overshoot and re-arms after
-    // the same hysteresis, so fleet and reference runs take the same branch
-    // on every epoch.
-    const adapt::Config& config = options_.config;
-    const double tripRatio = config.budgetFraction * config.killSwitchFactor;
-    if (measuredRatio > tripRatio) {
-        ++overBudgetStreak_;
-        inBudgetStreak_ = 0;
-    } else if (withinBudget) {
-        ++inBudgetStreak_;
-        overBudgetStreak_ = 0;
-    } else {
-        overBudgetStreak_ = 0;
-        inBudgetStreak_ = 0;
-    }
-    if (!safeMode_ && overBudgetStreak_ >= config.killSwitchEpochs) {
-        safeMode_ = true;
-        overBudgetStreak_ = 0;
-    } else if (safeMode_ && inBudgetStreak_ >= config.killSwitchRearmEpochs) {
-        safeMode_ = false;
-        inBudgetStreak_ = 0;
     }
 }
 

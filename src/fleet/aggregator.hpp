@@ -2,9 +2,9 @@
 //
 // Clients stream per-epoch CCT deltas (fleet/wire.hpp) into a bounded MPSC
 // data channel; the aggregator merges them into a fleet-wide ProfileTree
-// under epochal snapshots, runs the SAME OverheadModel/BudgetPlanner the
-// in-process controller runs, and pushes one converged policy back out to
-// every client as a policy delta on its private channel.
+// under epochal snapshots, runs the SAME adapt::EpochDecider the in-process
+// controller runs, and pushes one converged policy back out to every client
+// as a policy delta on its private channel.
 //
 // Epoch discipline: fleet epoch E closes when every connected client has an
 // unconsumed delta frame; frames beyond the first stay queued for E+1, so a
@@ -12,12 +12,11 @@
 //   1. folds each client's oldest frame into the fleet tree in ascending
 //      client-id order (the floating-point runtime sum must match the
 //      rank-order sum of an epochAllRanks reference run bit for bit),
-//   2. observes the per-epoch region totals (the cumulative fleet totals
-//      differenced against the last epoch's snapshot) into the model by
-//      NAME — see OverheadModel::observeEpoch(byName),
-//   3. replans over the survey candidates and diffs against the previous
-//      converged policy,
-//   4. broadcasts: clients that saw the previous policy get upserts +
+//   2. hands the per-epoch region totals (the cumulative fleet totals
+//      differenced against the last epoch's snapshot), keyed by NAME, to the
+//      decider, which folds them, runs the kill-switch and re-plans over the
+//      survey candidates (or sheds to the keep-list in safe mode),
+//   3. broadcasts: clients that saw the previous policy get upserts +
 //      removals; fresh or resyncing clients get a full baseline. A client
 //      whose fingerprint chain breaks asks for a resync instead of running
 //      diverged (fleet/client.hpp).
@@ -37,9 +36,8 @@
 #include <string>
 #include <vector>
 
-#include "adapt/budget_planner.hpp"
 #include "adapt/config.hpp"
-#include "adapt/overhead_model.hpp"
+#include "adapt/epoch_decider.hpp"
 #include "fleet/channel.hpp"
 #include "fleet/wire.hpp"
 #include "scorepsim/profile.hpp"
@@ -85,9 +83,8 @@ struct AggregatorOptions {
     std::size_t dataQueueCapacity = 256;
     /// Per-client policy queue (aggregator -> client).
     std::size_t policyQueueCapacity = 8;
-    /// Model/planner/kill-switch knobs — the same Config an in-process
-    /// Controller takes, so reference runs and fleet runs share every
-    /// constant.
+    /// The decider's knobs — the same Config an in-process Controller
+    /// takes, so reference runs and fleet runs share every constant.
     adapt::Config config;
     /// Liveness rule for epoch completion (strict by default).
     EpochPolicy epochPolicy;
@@ -264,6 +261,10 @@ private:
     /// timeout, and quorum is met.
     bool timeoutClosable(std::uint64_t nowNs) const;
     void closeEpoch(bool timedOut);
+    /// A policy frame's headline (epoch, fingerprint, last decision's
+    /// numbers) for the current converged policy; sendPolicyTo fills the
+    /// per-client body.
+    PolicyFrame headlineFrame() const;
     /// blocking=false is the Lagging-client path: trySend, and on refusal
     /// leave the diff chain anchored (never block the epoch pipeline on a
     /// stalled client's full queue).
@@ -271,11 +272,9 @@ private:
                       bool blocking = true);
     scorep::RegionHandle fleetHandleFor(ClientState& client,
                                         std::uint32_t clientHandle);
-    void mirrorKillSwitch(double measuredRatio, bool withinBudget);
     std::map<std::string, scorep::ProfileTree::RegionTotals>
     totalsByNameLocked() const;
 
-    const cg::CallGraph* graph_;
     AggregatorOptions options_;
     Channel data_;
 
@@ -297,10 +296,8 @@ private:
     /// against the current totals is the epoch's observation.
     std::map<std::string, scorep::ProfileTree::RegionTotals> lastTotals_;
 
-    // --- the mirrored controller decision state ---------------------------
-    adapt::OverheadModel model_;
-    adapt::BudgetPlanner planner_;
-    select::InstrumentationConfig surveyIc_;
+    // --- the decision: the same EpochDecider a Controller runs -----------
+    adapt::EpochDecider decider_;
     select::InstrumentationPolicy currentPolicy_;
     std::uint64_t epochsCompleted_ = 0;
     std::uint64_t incarnation_ = 1;
@@ -309,14 +306,10 @@ private:
     std::uint64_t epochOpenedAtNs_ = 0;
     /// Diagnosis from the last epoch's divergent client (see lastDivergence).
     select::PolicyDelta lastDivergence_;
-    bool safeMode_ = false;
-    std::size_t overBudgetStreak_ = 0;
-    std::size_t inBudgetStreak_ = 0;
     /// Last epoch's headline numbers, repeated on catch-up/resync frames.
     double lastRatio_ = 0.0;
     double lastBudgetNs_ = 0.0;
     bool lastWithinBudget_ = true;
-    std::uint64_t obsEventsAtLastEpoch_ = 0;
 
     AggregatorStats stats_;
     std::uint64_t metricsCollectorId_ = 0;

@@ -479,9 +479,9 @@ std::vector<std::uint8_t> encodeSnapshotFrame(const SnapshotFrame& frame) {
     out.varint(frame.incarnation);
     out.varint(frame.epochsCompleted);
     out.varint(frame.nextClientId);
-    out.u8(frame.safeMode ? 1 : 0);
-    out.varint(frame.overBudgetStreak);
-    out.varint(frame.inBudgetStreak);
+    out.u8(frame.decider.safeMode ? 1 : 0);
+    out.varint(frame.decider.overBudgetStreak);
+    out.varint(frame.decider.inBudgetStreak);
     out.f64(frame.lastRatio);
     out.f64(frame.lastBudgetNs);
     out.u8(frame.lastWithinBudget ? 1 : 0);
@@ -508,22 +508,22 @@ std::vector<std::uint8_t> encodeSnapshotFrame(const SnapshotFrame& frame) {
         out.varint(totals.exclusiveNs);
     }
 
-    out.varint(frame.model.epochs);
-    out.f64(frame.model.runtimeNs);
-    out.f64(frame.model.incurredCostNs);
-    out.f64(frame.model.lastEpochCostNs);
-    out.f64(frame.model.lastEpochRuntimeNs);
-    out.varint(frame.model.lastMeasurementId);
-    out.varint(frame.model.estimates.size());
-    for (const auto& [name, estimate] : frame.model.estimates) {
+    out.varint(frame.decider.model.epochs);
+    out.f64(frame.decider.model.runtimeNs);
+    out.f64(frame.decider.model.incurredCostNs);
+    out.f64(frame.decider.model.lastEpochCostNs);
+    out.f64(frame.decider.model.lastEpochRuntimeNs);
+    out.varint(frame.decider.model.lastMeasurementId);
+    out.varint(frame.decider.model.estimates.size());
+    for (const auto& [name, estimate] : frame.decider.model.estimates) {
         out.str(name);
         out.f64(estimate.visits);
         out.f64(estimate.exclusiveNs);
         out.varint(estimate.epochsObserved);
         out.f64(estimate.samplingFactor);
     }
-    out.varint(frame.model.lastSuppressed.size());
-    for (const auto& [name, count] : frame.model.lastSuppressed) {
+    out.varint(frame.decider.model.lastSuppressed.size());
+    for (const auto& [name, count] : frame.decider.model.lastSuppressed) {
         out.str(name);
         out.varint(count);
     }
@@ -577,9 +577,9 @@ SnapshotFrame decodeSnapshotFrame(const std::vector<std::uint8_t>& bytes) {
     }
     frame.epochsCompleted = in.varint();
     frame.nextClientId = in.varint();
-    frame.safeMode = in.u8() != 0;
-    frame.overBudgetStreak = in.varint();
-    frame.inBudgetStreak = in.varint();
+    frame.decider.safeMode = in.u8() != 0;
+    frame.decider.overBudgetStreak = in.varint();
+    frame.decider.inBudgetStreak = in.varint();
     frame.lastRatio = in.f64();
     frame.lastBudgetNs = in.f64();
     frame.lastWithinBudget = in.u8() != 0;
@@ -622,12 +622,12 @@ SnapshotFrame decodeSnapshotFrame(const std::vector<std::uint8_t>& bytes) {
         frame.lastTotals.emplace_back(std::move(name), totals);
     }
 
-    frame.model.epochs = static_cast<std::size_t>(in.varint());
-    frame.model.runtimeNs = in.f64();
-    frame.model.incurredCostNs = in.f64();
-    frame.model.lastEpochCostNs = in.f64();
-    frame.model.lastEpochRuntimeNs = in.f64();
-    frame.model.lastMeasurementId = in.varint();
+    frame.decider.model.epochs = static_cast<std::size_t>(in.varint());
+    frame.decider.model.runtimeNs = in.f64();
+    frame.decider.model.incurredCostNs = in.f64();
+    frame.decider.model.lastEpochCostNs = in.f64();
+    frame.decider.model.lastEpochRuntimeNs = in.f64();
+    frame.decider.model.lastMeasurementId = in.varint();
     const std::size_t estimateCount = in.listCount(27, "model estimate");
     lastName.clear();
     for (std::size_t i = 0; i < estimateCount; ++i) {
@@ -641,7 +641,7 @@ SnapshotFrame decodeSnapshotFrame(const std::vector<std::uint8_t>& bytes) {
         estimate.epochsObserved = static_cast<std::size_t>(in.varint());
         estimate.samplingFactor = in.f64();
         lastName = name;
-        frame.model.estimates.emplace_back(std::move(name), estimate);
+        frame.decider.model.estimates.emplace_back(std::move(name), estimate);
     }
     const std::size_t suppressedCount = in.listCount(2, "model suppressed");
     lastName.clear();
@@ -652,7 +652,7 @@ SnapshotFrame decodeSnapshotFrame(const std::vector<std::uint8_t>& bytes) {
         }
         const std::uint64_t count = in.varint();
         lastName = name;
-        frame.model.lastSuppressed.emplace_back(std::move(name), count);
+        frame.decider.model.lastSuppressed.emplace_back(std::move(name), count);
     }
 
     const std::size_t clientCount = in.listCount(8, "snapshot client");

@@ -33,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "adapt/overhead_model.hpp"
+#include "adapt/epoch_decider.hpp"
 #include "scorepsim/profile.hpp"
 #include "scorepsim/profile_delta.hpp"
 #include "select/ic.hpp"
@@ -160,9 +160,6 @@ struct SnapshotFrame {
     std::uint64_t incarnation = 1;
     std::uint64_t epochsCompleted = 0;
     std::uint64_t nextClientId = 0;
-    bool safeMode = false;
-    std::uint64_t overBudgetStreak = 0;
-    std::uint64_t inBudgetStreak = 0;
     double lastRatio = 0.0;
     double lastBudgetNs = 0.0;
     bool lastWithinBudget = true;
@@ -172,7 +169,9 @@ struct SnapshotFrame {
     std::vector<SnapshotNode> nodes;
     std::vector<std::pair<std::string, scorep::ProfileTree::RegionTotals>>
         lastTotals;
-    adapt::ModelState model;
+    /// The EpochDecider's state. Its kill-switch fields are encoded right
+    /// after nextClientId, its model after lastTotals.
+    adapt::DeciderState decider;
     std::vector<SnapshotClient> clients;  ///< Ascending client id.
 };
 

@@ -85,13 +85,6 @@ public:
     void store(std::uint64_t graphGeneration, std::uint64_t selectorHash,
                const FunctionSet& result, Footprint footprint);
 
-    /// Conservative overload: records an unbounded footprint, so the entry
-    /// is purged by any graph delta (legacy callers, tests).
-    void store(std::uint64_t graphGeneration, std::uint64_t selectorHash,
-               const FunctionSet& result) {
-        store(graphGeneration, selectorHash, result, Footprint::unbounded());
-    }
-
     void clear();
     std::size_t size() const;
     Stats stats() const;

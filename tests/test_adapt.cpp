@@ -81,7 +81,7 @@ select::InstrumentationConfig icOf(std::initializer_list<const char*> names) {
 // ------------------------------------------------------------ OverheadModel --
 
 TEST(OverheadModel, EwmaSmoothsAcrossEpochs) {
-    adapt::ModelOptions options;
+    adapt::Config options;
     options.perEventCostNs = 100.0;
     options.ewmaAlpha = 0.5;
     adapt::OverheadModel model(options);
@@ -103,7 +103,7 @@ TEST(OverheadModel, EwmaSmoothsAcrossEpochs) {
 }
 
 TEST(OverheadModel, ActiveMissingDecaysInactiveFrozen) {
-    adapt::ModelOptions options;
+    adapt::Config options;
     options.ewmaAlpha = 0.5;
     adapt::OverheadModel model(options);
     scorep::Measurement m;
@@ -125,7 +125,7 @@ TEST(OverheadModel, ActiveMissingDecaysInactiveFrozen) {
 }
 
 TEST(OverheadModel, LastEpochOverheadRatioUsesCalibratedCost) {
-    adapt::ModelOptions options;
+    adapt::Config options;
     options.perEventCostNs = 100.0;
     adapt::OverheadModel model(options);
     scorep::Measurement m;
@@ -263,7 +263,7 @@ TEST(BudgetPlanner, EmptyModelKeepsEveryCandidate) {
 TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
     cg::CallGraph graph = simpleGraph();
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -272,7 +272,7 @@ TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
     epoch.add("noisy", 1'000'000, 1'000'000);  // cost 2e8 ns, tiny value
     model.observeEpoch(epoch.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;  // 5% of 8e8 app ns = 4e7 ns budget
     adapt::PlanResult plan = planner.plan(icOf({"kernel", "noisy", "main"}),
                                           model, popts);
@@ -288,7 +288,7 @@ TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
 TEST(BudgetPlanner, KeepListOverridesBudget) {
     cg::CallGraph graph = simpleGraph();
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -296,7 +296,7 @@ TEST(BudgetPlanner, KeepListOverridesBudget) {
     epoch.add("noisy", 1'000'000, 1'000'000);
     model.observeEpoch(epoch.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;
     popts.keep = {"noisy"};
     adapt::PlanResult plan = planner.plan(icOf({"noisy"}), model, popts);
@@ -366,7 +366,7 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
     graph.addCallEdge(b, a);
 
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -375,7 +375,7 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
     epoch.add("b", 10, 900'000'000);       // alone: trivially cheap
     model.observeEpoch(epoch.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;
     adapt::PlanResult plan = planner.plan(icOf({"a", "b"}), model, popts);
     // The group's combined cost exceeds the budget: both go, not just "a" —
@@ -393,7 +393,7 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
 TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
     cg::CallGraph graph = simpleGraph();
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     mopts.ewmaAlpha = 1.0;  // no smoothing: make the arithmetic exact
     adapt::OverheadModel model(mopts);
@@ -402,7 +402,7 @@ TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
     epoch1.add("noisy", 1'000'000, 1'000'000);
     model.observeEpoch(epoch1.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;
     EXPECT_EQ(planner.plan(icOf({"noisy"}), model, popts).policy.tierOf("noisy"),
               select::Tier::Off);
@@ -436,7 +436,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
         }
     }
 
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 50.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -452,7 +452,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     model.observeEpoch(epoch.tree, m, 1e10);
 
     adapt::BudgetPlanner planner(graph);
-    adapt::PlannerOptions serial;
+    adapt::Config serial;
     serial.budgetFraction = 0.05;
     serial.threads = 1;
     adapt::PlanResult serialPlan = planner.plan(candidate, model, serial);
@@ -463,7 +463,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     // hosts (Executor's shared pool is hardware width there: 1 thread).
     for (std::size_t threads : {std::size_t{2}, std::size_t{5}, std::size_t{8}}) {
         support::ThreadPool pool(threads);
-        adapt::PlannerOptions parallel = serial;
+        adapt::Config parallel = serial;
         parallel.pool = &pool;
         adapt::PlanResult parallelPlan = planner.plan(candidate, model, parallel);
         EXPECT_EQ(parallelPlan.policy.functions, serialPlan.policy.functions)
@@ -539,15 +539,15 @@ TEST(Controller, ConvergesAndReAdmitsOnSyntheticApp) {
     cg::MetaCgBuilder builder;
     cg::CallGraph graph = builder.build(model.toSourceModel());
 
-    adapt::ControllerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.05;
     options.maxEpochs = 5;
-    options.model.perEventCostNs = 100.0;
+    options.perEventCostNs = 100.0;
     adapt::Controller controller(graph, dyn, options);
     controller.start(adapt::surveyOfDefinedFunctions(graph));
     EXPECT_NE(controller.currentPolicy().tierOf("noisy"), select::Tier::Off);
 
-    auto survey = runEpoch(process, dyn, options.model.perEventCostNs);
+    auto survey = runEpoch(process, dyn, options.perEventCostNs);
     adapt::EpochReport first =
         controller.epoch(survey->profile, survey->measurement, survey->runtimeNs);
     EXPECT_GT(first.measuredOverheadRatio, 0.05);  // survey blows the budget
@@ -555,7 +555,7 @@ TEST(Controller, ConvergesAndReAdmitsOnSyntheticApp) {
     EXPECT_NE(controller.currentPolicy().tierOf("kernel"), select::Tier::Off);
     EXPECT_GT(first.patch.functionsUnpatched, 0u);
 
-    auto trimmed = runEpoch(process, dyn, options.model.perEventCostNs);
+    auto trimmed = runEpoch(process, dyn, options.perEventCostNs);
     adapt::EpochReport second = controller.epoch(
         trimmed->profile, trimmed->measurement, trimmed->runtimeNs);
     EXPECT_TRUE(second.withinBudget);
@@ -580,10 +580,10 @@ TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {
     binsim::Process fullProcess(compiled);
     dyncapi::DynCapi fullDyn(fullProcess);
 
-    adapt::ControllerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.05;
     options.maxEpochs = 5;
-    options.model.perEventCostNs = 200.0;
+    options.perEventCostNs = 200.0;
     adapt::Controller controller(graph, dyn, options);
     dyncapi::InitStats surveyStats = controller.start(adapt::surveyOfDefinedFunctions(graph));
     ASSERT_GT(surveyStats.patchedFunctions, 100u);
@@ -591,7 +591,7 @@ TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {
 
     bool sawStrictlySmallerDelta = false;
     while (!controller.done()) {
-        auto epoch = runEpoch(process, dyn, options.model.perEventCostNs);
+        auto epoch = runEpoch(process, dyn, options.perEventCostNs);
         adapt::EpochReport report =
             controller.epoch(epoch->profile, epoch->measurement, epoch->runtimeNs);
 
@@ -683,9 +683,9 @@ TEST(Controller, EpochAllRanksConvergesWorldOnOneIc) {
     binsim::Process process(binsim::compile(model, copts));
     dyncapi::DynCapi dyn(process);
 
-    adapt::ControllerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.05;
-    options.model.perEventCostNs = 200.0;
+    options.perEventCostNs = 200.0;
     adapt::Controller controller(graph, dyn, options);
     controller.start(adapt::surveyOfDefinedFunctions(graph));
 
@@ -704,7 +704,7 @@ TEST(Controller, EpochAllRanksConvergesWorldOnOneIc) {
         binsim::RunStats stats = engine.run(rank, kRanks);
         const scorep::ProfileTree& local = measurement.threadProfile();
         double runtimeNs = adapt::virtualEpochRuntimeNs(
-            stats, measurement, options.model.perEventCostNs);
+            stats, measurement, options.perEventCostNs);
         reports[rank] = controller.epochAllRanks(world, rank, stats.virtualNs,
                                                  local, measurement, runtimeNs);
     });

@@ -1029,6 +1029,174 @@ TEST(FleetAggregation, SyntheticStreamsAggregateBitIdentically) {
     EXPECT_EQ(aggregator.stats().divergentClients, 0u);
 }
 
+/// What the scorep.probe_inflate fault site does to a measured profile (see
+/// FaultTest.KillSwitchTripsUnderInflatedProbeCostAndRearms): every recorded
+/// visit gains magnitude-1 zero-duration twins, so visit counts — and the
+/// probe cost the model charges for them — scale by `magnitude` while the
+/// recorded times stay put.
+scorep::ProfileTree inflatedProfile(scorep::ProfileTree tree,
+                                    std::uint64_t magnitude) {
+    for (std::size_t i = 1; i < tree.nodeCount(); ++i) {
+        tree.node(i).visits *= magnitude;
+    }
+    return tree;
+}
+
+// The kill-switch through both paths: the same inflated per-rank streams
+// drive an epochAllRanks reference and the fleet through a trip, safe mode
+// and a rearm, and the fleet must match the reference every epoch. Two
+// grey-zone epochs (ratio between the budget and the trip ratio) sit inside
+// the over- and the in-budget streak: each must reset both streaks, so the
+// trip and the rearm each come one epoch later than without them.
+TEST(FleetAggregation, KillSwitchTripAndRearmMatchEpochAllRanks) {
+    const binsim::AppModel model = syntheticModel();
+    binsim::CompileOptions copts;
+    copts.xrayThreshold.instructionThreshold = 1;
+    const binsim::CompiledProgram compiled = binsim::compile(model, copts);
+    cg::MetaCgBuilder builder;
+    const cg::CallGraph graph = builder.build(model.toSourceModel());
+
+    adapt::Config config;
+    config.budgetFraction = 0.05;  // trip ratio 0.15
+    config.maxEpochs = 20;
+    config.perEventCostNs = 100.0;
+    config.killSwitchFactor = 3.0;
+    config.killSwitchEpochs = 2;
+    config.killSwitchRearmEpochs = 2;
+    config.keep = {"main"};
+    const select::InstrumentationConfig survey =
+        adapt::surveyOfDefinedFunctions(graph);
+    select::InstrumentationConfig keepIc;
+    keepIc.specName = "safe-mode";
+    keepIc.assignFunctions(config.keep);
+    const std::uint64_t safeFingerprint =
+        select::InstrumentationPolicy::fullOf(keepIc).fingerprint();
+
+    constexpr int kRanks = 3;
+    // Per-epoch inflation: x1 measures ~2% against the runtimes below, x4
+    // lands in the grey zone (~8%), x10 far past the trip ratio (~20%).
+    const std::vector<std::uint64_t> magnitude = {1, 10, 4, 10, 10,
+                                                  1, 4,  1, 1,  1};
+    const int kEpochs = static_cast<int>(magnitude.size());
+    constexpr int kTripEpoch = 5;   // E4 alone would trip without E3's reset
+    constexpr int kRearmEpoch = 9;  // E8 alone would rearm without E7's reset
+    auto runtimeOf = [](int rank, int epoch) {
+        return 1.25e8 + 1e6 * rank + 1e5 * epoch;
+    };
+    auto profileOf = [&](scorep::Measurement& measurement, int rank,
+                         int epoch) {
+        return inflatedProfile(syntheticRankProfile(measurement, rank, epoch),
+                               magnitude[static_cast<std::size_t>(epoch) - 1]);
+    };
+
+    // --- reference ---------------------------------------------------------
+    binsim::Process refProcess(compiled);
+    dyncapi::DynCapi refDyn(refProcess);
+    adapt::Controller reference(graph, refDyn, config);
+    reference.start(survey);
+    scorep::Measurement refMeasurement;
+    std::vector<adapt::EpochReport> refReports;
+    for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        mpi::MpiWorld world(kRanks);
+        std::vector<scorep::ProfileTree> profiles;
+        for (int r = 0; r < kRanks; ++r) {
+            profiles.push_back(profileOf(refMeasurement, r, epoch));
+        }
+        std::vector<adapt::EpochReport> reports(kRanks);
+        mpi::runRanks(world, [&](int rank) {
+            world.init(rank, 0.0);
+            reports[rank] = reference.epochAllRanks(
+                world, rank, 0.0, profiles[rank], refMeasurement,
+                runtimeOf(rank, epoch));
+        });
+        refReports.push_back(reports[0]);
+    }
+
+    // The reference takes the intended path: the grey epochs sit strictly
+    // between budget and trip ratio, the trip and the rearm land where the
+    // resets put them, and the policy is keep-only exactly in between.
+    for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        const adapt::EpochReport& report =
+            refReports[static_cast<std::size_t>(epoch) - 1];
+        const std::uint64_t m = magnitude[static_cast<std::size_t>(epoch) - 1];
+        const bool safe = epoch >= kTripEpoch && epoch < kRearmEpoch;
+        EXPECT_EQ(report.withinBudget, m == 1) << "epoch " << epoch;
+        if (m == 4) {
+            EXPECT_GT(report.measuredOverheadRatio, config.budgetFraction)
+                << "epoch " << epoch;
+            EXPECT_LE(report.measuredOverheadRatio,
+                      config.budgetFraction * config.killSwitchFactor)
+                << "epoch " << epoch;
+        }
+        EXPECT_EQ(report.killSwitchTripped, epoch == kTripEpoch)
+            << "epoch " << epoch;
+        EXPECT_EQ(report.killSwitchRearmed, epoch == kRearmEpoch)
+            << "epoch " << epoch;
+        EXPECT_EQ(report.health == adapt::EpochHealth::SafeMode, safe)
+            << "epoch " << epoch;
+        EXPECT_EQ(report.policyFingerprint == safeFingerprint, safe)
+            << "epoch " << epoch;
+    }
+    EXPECT_EQ(reference.healthStats().killSwitchTrips, 1u);
+    EXPECT_EQ(reference.healthStats().killSwitchRearms, 1u);
+
+    // --- fleet: headless clients over the same streams ---------------------
+    fleet::AggregatorOptions aggOptions;
+    aggOptions.config = config;
+    fleet::Aggregator aggregator(graph, survey, aggOptions);
+    std::vector<std::unique_ptr<scorep::Measurement>> measurements;
+    std::vector<std::unique_ptr<fleet::FleetClient>> clients;
+    for (int r = 0; r < kRanks; ++r) {
+        measurements.push_back(std::make_unique<scorep::Measurement>());
+        clients.push_back(std::make_unique<fleet::FleetClient>(aggregator));
+    }
+    // Kill-switch streaks after each epoch, per the schedule above.
+    const std::vector<std::uint64_t> overStreak = {0, 1, 0, 1, 0,
+                                                   0, 0, 0, 0, 0};
+    const std::vector<std::uint64_t> inStreak = {1, 0, 0, 0, 0,
+                                                 1, 0, 1, 0, 1};
+    for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        for (int r = 0; r < kRanks; ++r) {
+            ASSERT_EQ(clients[r]->sendEpoch(profileOf(*measurements[r], r, epoch),
+                                            *measurements[r],
+                                            runtimeOf(r, epoch)),
+                      fleet::SendResult::Ok);
+        }
+        while (aggregator.epochsCompleted() <
+               static_cast<std::uint64_t>(epoch)) {
+            ASSERT_TRUE(aggregator.pump()) << "fleet epoch " << epoch
+                                           << " stalled";
+        }
+        const std::size_t e = static_cast<std::size_t>(epoch) - 1;
+        const adapt::EpochReport& expected = refReports[e];
+        for (int r = 0; r < kRanks; ++r) {
+            const adapt::EpochReport report = clients[r]->awaitPolicy();
+            EXPECT_EQ(report.policyFingerprint, expected.policyFingerprint)
+                << "epoch " << epoch << " rank " << r;
+            EXPECT_EQ(report.measuredOverheadRatio,
+                      expected.measuredOverheadRatio)
+                << "epoch " << epoch << " rank " << r;
+            EXPECT_EQ(report.budgetNs, expected.budgetNs)
+                << "epoch " << epoch << " rank " << r;
+            EXPECT_EQ(report.withinBudget, expected.withinBudget)
+                << "epoch " << epoch << " rank " << r;
+        }
+        // The fleet's own kill-switch state, read back from its checkpoint.
+        const fleet::SnapshotFrame snap =
+            fleet::decodeSnapshotFrame(aggregator.checkpoint());
+        EXPECT_EQ(snap.decider.safeMode,
+                  expected.health == adapt::EpochHealth::SafeMode)
+            << "epoch " << epoch;
+        EXPECT_EQ(snap.decider.overBudgetStreak, overStreak[e])
+            << "epoch " << epoch;
+        EXPECT_EQ(snap.decider.inBudgetStreak, inStreak[e])
+            << "epoch " << epoch;
+    }
+    EXPECT_EQ(aggregator.convergedFingerprint(),
+              refReports.back().policyFingerprint);
+    EXPECT_EQ(aggregator.stats().divergentClients, 0u);
+}
+
 /// Headless-client fixtures for the protocol and soak tests.
 cg::CallGraph tinyGraph() {
     cg::CallGraph graph;
@@ -1388,20 +1556,21 @@ TEST(FleetCheckpoint, CorruptOrForeignSnapshotRestoreRejectsTyped) {
 // rebuilt from its checkpoint continues BIT-IDENTICALLY to an uninterrupted
 // twin — same per-epoch fingerprints/budgets, same fleet totals, and a
 // byte-equal end-of-run snapshot once the incarnation stamp is normalized.
-TEST(FleetCheckpoint, RestoreContinuesBitIdenticallyToUninterruptedTwin) {
+// `runtimeOf(client, epoch)` sets the overhead ratio each epoch measures;
+// `safeAtRestore` is whether the fleet's kill-switch holds safe mode, with
+// a rearm streak in progress, when the checkpoint is taken.
+template <typename RuntimeOf>
+void expectRestoreContinuesBitIdentically(const fleet::AggregatorOptions& options,
+                                          RuntimeOf runtimeOf,
+                                          bool safeAtRestore) {
     const cg::CallGraph graph = tinyGraph();
     const select::InstrumentationConfig survey =
         adapt::surveyOfDefinedFunctions(graph);
-    fleet::AggregatorOptions options;
-    options.config.perEventCostNs = 100.0;
     constexpr std::size_t kClients = 3;
     constexpr int kEpochs = 6;
     constexpr int kRestoreAfter = 3;
     auto saltOf = [](std::size_t i, int epoch) {
         return i * 977 + static_cast<std::uint64_t>(epoch) * 131;
-    };
-    auto runtimeOf = [](std::size_t i, int epoch) {
-        return 1e9 * static_cast<double>(i + 1) + 1e6 * epoch;
     };
 
     fleet::Aggregator twin(graph, survey, options);
@@ -1448,6 +1617,12 @@ TEST(FleetCheckpoint, RestoreContinuesBitIdenticallyToUninterruptedTwin) {
             // Kill-and-restore: the old instance is discarded wholesale;
             // the new one must pick up mid-run from the snapshot alone.
             const std::vector<std::uint8_t> snapshot = restored->checkpoint();
+            const fleet::SnapshotFrame atRestore =
+                fleet::decodeSnapshotFrame(snapshot);
+            EXPECT_EQ(atRestore.decider.safeMode, safeAtRestore);
+            if (safeAtRestore) {
+                EXPECT_GT(atRestore.decider.inBudgetStreak, 0u);
+            }
             restored = std::make_unique<fleet::Aggregator>(graph, survey,
                                                            snapshot, options);
             EXPECT_EQ(restored->incarnation(), 2u);
@@ -1470,6 +1645,7 @@ TEST(FleetCheckpoint, RestoreContinuesBitIdenticallyToUninterruptedTwin) {
     const fleet::SnapshotFrame sa = fleet::decodeSnapshotFrame(twin.checkpoint());
     fleet::SnapshotFrame sb = fleet::decodeSnapshotFrame(restored->checkpoint());
     EXPECT_EQ(sb.incarnation, 2u);
+    EXPECT_FALSE(sb.decider.safeMode);  // a held safe mode re-armed after restore
     sb.incarnation = sa.incarnation;
     EXPECT_EQ(fleet::encodeSnapshotFrame(sa), fleet::encodeSnapshotFrame(sb));
 
@@ -1480,6 +1656,35 @@ TEST(FleetCheckpoint, RestoreContinuesBitIdenticallyToUninterruptedTwin) {
     fleet::SnapshotFrame sc = fleet::decodeSnapshotFrame(again.checkpoint());
     sc.incarnation = sa.incarnation;
     EXPECT_EQ(fleet::encodeSnapshotFrame(sc), fleet::encodeSnapshotFrame(sa));
+}
+
+TEST(FleetCheckpoint, RestoreContinuesBitIdenticallyToUninterruptedTwin) {
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    {
+        SCOPED_TRACE("armed planner throughout");
+        expectRestoreContinuesBitIdentically(
+            options,
+            [](std::size_t i, int epoch) {
+                return 1e9 * static_cast<double>(i + 1) + 1e6 * epoch;
+            },
+            /*safeAtRestore=*/false);
+    }
+    {
+        // ~20% overhead for two epochs trips the kill-switch at epoch 2;
+        // epoch 3 (~1%) starts the rearm streak the checkpoint then carries,
+        // and epoch 4 completes it on the restored side.
+        SCOPED_TRACE("safe mode with a rearm streak in progress");
+        options.config.killSwitchEpochs = 2;
+        options.config.killSwitchRearmEpochs = 2;
+        expectRestoreContinuesBitIdentically(
+            options,
+            [](std::size_t i, int epoch) {
+                return (epoch <= 2 ? 5e5 : 1e7) * static_cast<double>(i + 1) +
+                       1e3 * epoch;
+            },
+            /*safeAtRestore=*/true);
+    }
 }
 
 // ----------------------------------------------------- liveness tests --

@@ -381,7 +381,8 @@ TEST(SelectorCache, SizeCapEvictsOldestEntriesPerShard) {
     select::FunctionSet result(graph.size());
     const std::uint64_t gen = graph.generation();
     for (std::uint64_t i = 0; i < 5; ++i) {
-        cache.store(gen, i << 8, result);  // (hash >> 4) % 16 == 0 for all.
+        // (hash >> 4) % 16 == 0 for all.
+        cache.store(gen, i << 8, result, select::Footprint::unbounded());
     }
     EXPECT_EQ(cache.size(), 1u);  // Shard 0 holds maxEntries/kShardCount = 1.
     EXPECT_EQ(cache.stats().evictions, 4u);
